@@ -105,14 +105,13 @@ def arena_tasks(
     instructions: int,
     ssmt_config: SSMTConfig,
     potential_config: PotentialConfig,
-    kernel: str = "scalar",
     sample: Optional[Any] = None,
 ) -> List[SweepTask]:
     """The arena grid: one shared oracle per benchmark, then a
     baseline/ssmt/potential triple per (zoo baseline, benchmark).
 
-    ``kernel``/``sample`` apply to the baseline/ssmt points only —
-    oracle and potential runs always use the scalar reference loop.
+    ``sample`` applies to the baseline/ssmt points only — oracle and
+    potential runs are always exact.
     """
     tasks: List[SweepTask] = [
         SweepTask(kind="oracle", benchmark=name, instructions=instructions,
@@ -125,11 +124,11 @@ def arena_tasks(
             tasks.append(SweepTask(
                 kind="baseline", benchmark=name, instructions=instructions,
                 label=f"{label}|baseline", predictor=predictor,
-                kernel=kernel, sample=sample))
+                sample=sample))
             tasks.append(SweepTask(
                 kind="ssmt", benchmark=name, instructions=instructions,
                 label=f"{label}|ssmt", config=ssmt_config,
-                predictor=predictor, kernel=kernel, sample=sample))
+                predictor=predictor, sample=sample))
             tasks.append(SweepTask(
                 kind="potential", benchmark=name, instructions=instructions,
                 label=f"{label}|potential", potential=potential_config,
@@ -176,7 +175,6 @@ def run_arena(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     resume: bool = True,
-    kernel: str = "scalar",
     sample: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Run the arena and return the ``repro.arena/1`` artifact.
@@ -186,9 +184,8 @@ def run_arena(
     dict supplies custom configurations.  Runner accounting (jobs,
     cache hits, elapsed) lands only under ``context`` so the rest of the
     artifact is bit-identical across serial/parallel/cached runs.
-    ``kernel``/``sample`` select the retire-loop kernel and optional
-    sampled simulation for the baseline/ssmt points (see
-    :mod:`repro.kernel`).
+    ``sample`` selects sampled simulation for the baseline/ssmt points
+    (see :mod:`repro.kernel.sampling`).
     """
     resolved = _resolve_baselines(baselines)
     if not resolved:
@@ -199,8 +196,7 @@ def run_arena(
     ssmt_config = SSMTConfig(n=n, difficulty_threshold=threshold)
     potential_config = PotentialConfig(n=n, difficulty_threshold=threshold)
     tasks = arena_tasks(labels, resolved, benchmarks, instructions,
-                        ssmt_config, potential_config,
-                        kernel=kernel, sample=sample)
+                        ssmt_config, potential_config, sample=sample)
     outcome = SweepRunner(jobs=jobs, cache_dir=cache_dir,
                           resume=resume).run(tasks)
     if outcome.failures:

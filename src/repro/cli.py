@@ -74,8 +74,10 @@ from repro.analysis.experiments import (
     figure9_timeliness,
     intro_perfect_prediction,
 )
+from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTConfig, run_ssmt
 from repro.core.static import run_profile_guided
+from repro.kernel import SampleSpec, run_sampled
 from repro.parallel import (
     SweepRunner,
     build_grid,
@@ -95,14 +97,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="dynamic instructions to simulate")
 
 
-def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
-    """The retire-loop kernel / sampled-simulation flags (repro.kernel)."""
-    parser.add_argument("--kernel", choices=("scalar", "batched"),
-                        default="scalar",
-                        help="retire-loop implementation: the scalar "
-                             "reference loop or the predecoded-column "
-                             "batched kernel (bit-identical, faster; "
-                             "see docs/performance.md)")
+def _add_sample_args(parser: argparse.ArgumentParser) -> None:
+    """The sampled-simulation flags (repro.kernel.sampling)."""
     parser.add_argument("--sample-interval", type=int, default=None,
                         metavar="N",
                         help="run sampled simulation with this period in "
@@ -120,8 +116,6 @@ def _sample_spec(args):
     """Build a SampleSpec from CLI args; None when sampling is off."""
     if args.sample_interval is None:
         return None
-    from repro.kernel.sampling import SampleSpec
-
     try:
         return SampleSpec(interval=args.sample_interval,
                           warmup=args.sample_warmup)
@@ -150,11 +144,10 @@ def cmd_run(args) -> int:
     name = _check_benchmark(args.benchmark)
     trace = benchmark_trace(name, args.instructions)
     sample = _sample_spec(args)
-    if args.profile_guided and (sample is not None
-                                or args.kernel != "scalar"):
+    if args.profile_guided and sample is not None:
         raise SystemExit(
-            "--kernel/--sample-interval select the dynamic engine's "
-            "retire loop; they cannot be combined with --profile-guided")
+            "--sample-interval samples the dynamic engine's retire loop; "
+            "it cannot be combined with --profile-guided")
     if sample is not None and (args.sanitize or args.metrics_out):
         raise SystemExit(
             "--sample-interval fast-forwards between detailed windows, "
@@ -162,15 +155,7 @@ def cmd_run(args) -> int:
             "every retired instruction; drop --sanitize/--metrics-out "
             "or run exact")
     if sample is not None:
-        from repro.branch.unit import BranchPredictorComplex
-        from repro.kernel.sampling import run_sampled
-
         base = run_sampled(trace, BranchPredictorComplex(), sample)
-    elif args.kernel == "batched":
-        from repro.branch.unit import BranchPredictorComplex
-        from repro.kernel.batched import BatchedOoOTimingModel
-
-        base = BatchedOoOTimingModel().run(trace, BranchPredictorComplex())
     else:
         base = baseline_run(trace)
     config = SSMTConfig(n=args.n, difficulty_threshold=args.threshold,
@@ -194,8 +179,7 @@ def cmd_run(args) -> int:
         label = "profile-guided SSMT"
     else:
         result, engine = run_ssmt(trace, config, sanitizer=sanitizer,
-                                  telemetry=telemetry,
-                                  kernel=args.kernel, sample=sample)
+                                  telemetry=telemetry, sample=sample)
         label = "dynamic SSMT"
     suffix = " [sampled]" if sample is not None else ""
     print(format_table(
@@ -643,8 +627,7 @@ def cmd_sweep(args) -> int:
     tasks = build_grid(benchmarks, args.instructions,
                        knob=args.knob, values=values,
                        widths=tuple(args.widths or ()),
-                       predictor=predictor,
-                       kernel=args.kernel, sample=sample)
+                       predictor=predictor, sample=sample)
     runner_kwargs: Dict[str, Any] = {}
     observer = None
     if args.trace_out or args.live:
@@ -676,8 +659,6 @@ def cmd_sweep(args) -> int:
               "CODE_SCHEMA_VERSION are invalidated by design (see "
               "docs/service.md, 'Cache invalidation')", file=sys.stderr)
     context_extra: Dict[str, Any] = {}
-    if args.kernel != "scalar":
-        context_extra["kernel"] = args.kernel
     if sample is not None:
         context_extra["sample"] = {"interval": sample.interval,
                                    "warmup": sample.warmup,
@@ -754,7 +735,6 @@ def cmd_arena(args) -> int:
                              baselines=args.predictors or None,
                              jobs=args.jobs, cache_dir=args.cache_dir,
                              resume=args.resume,
-                             kernel=args.kernel,
                              sample=_sample_spec(args))
     except ValueError as error:
         raise SystemExit(str(error))
@@ -835,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="interval sampler period in retired "
                                  "instructions (with --metrics-out; "
                                  "0 disables sampling)")
-    _add_kernel_args(run_parser)
+    _add_sample_args(run_parser)
 
     trace_parser = sub.add_parser(
         "trace", help="microthread lifecycle spans on a benchmark")
@@ -961,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SECONDS",
                               help="progress heartbeat interval for "
                                    "--live / --trace-out")
-    _add_kernel_args(sweep_parser)
+    _add_sample_args(sweep_parser)
 
     postmortem_parser = sub.add_parser(
         "postmortem",
@@ -1006,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     arena_parser.add_argument("--bench-out", metavar="DIR",
                               help="write a BENCH_arena.json trajectory "
                                    "artifact into DIR")
-    _add_kernel_args(arena_parser)
+    _add_sample_args(arena_parser)
 
     disasm_parser = sub.add_parser("disasm", help="disassemble a benchmark")
     disasm_parser.add_argument("benchmark")

@@ -95,11 +95,11 @@ class PostRetirementBuffer:
                        is_load: bool, is_store: bool, ea: int) -> PRBEntry:
         """Predecoded-column fast path of :meth:`insert`.
 
-        The batched kernel (:mod:`repro.kernel`) has the instruction's
+        The fused retire loop (:mod:`repro.kernel`) has the instruction's
         dataflow already unpacked into flat columns (``dest``/``src1``/
         ``src2`` use ``-1`` for "none"), so this variant skips the
         ``rec.inst`` attribute walk and the producer-tuple generator of
-        the scalar path.  Must stay behaviourally identical to
+        the per-record path.  Must stay behaviourally identical to
         :meth:`insert` — ``tests/test_kernel.py`` property-checks the
         equivalence.
         """

@@ -369,11 +369,11 @@ class SSMTEngine:
         if telemetry_retire is not None:
             telemetry_retire(self, idx, retire_cycle)
 
-    # -- retire-loop rare paths (shared with the batched kernel) ---------------
+    # -- retire-loop rare paths (shared with the fused loop) ------------------
     # These are the single source of truth for the retire loop's
-    # conditional blocks: ``on_retire`` above (the scalar path) and the
-    # fused loop in :mod:`repro.kernel.batched` both dispatch into them,
-    # so the two kernels cannot drift apart behaviourally.
+    # conditional blocks: ``on_retire`` above (the per-record path) and
+    # the fused loop in :mod:`repro.kernel.batched` both dispatch into
+    # them, so the two loops cannot drift apart behaviourally.
 
     def _retire_store_violation(self, idx: int, rec: DynamicInstruction,
                                 retire_cycle: int) -> None:
@@ -601,18 +601,16 @@ def run_ssmt(
     sanitizer: Optional["SimSanitizer"] = None,
     telemetry: Optional["TelemetrySession"] = None,
     event_log: Optional[EventLog] = None,
-    kernel: str = "scalar",
     sample: Optional[object] = None,
 ) -> Tuple[TimingResult, SSMTEngine]:
     """Run the full SSMT machine over ``trace``; returns timing + engine.
 
-    ``kernel`` selects the retire-loop implementation: ``"scalar"`` (the
-    per-record reference loop) or ``"batched"`` (the predecoded-column
-    kernel of :mod:`repro.kernel`, bit-identical and faster).  ``sample``
+    The run goes through the fused retire loop of
+    :class:`~repro.kernel.batched.BatchedOoOTimingModel`.  ``sample``
     takes a :class:`~repro.kernel.sampling.SampleSpec` to run sampled
     simulation (detailed windows + functional fast-forward) instead of
-    the exact full run.  Both imports are deferred so the default path
-    never touches :mod:`repro.kernel`.
+    the exact full run.  Both imports are deferred because
+    :mod:`repro.kernel` imports this module.
     """
     engine = SSMTEngine(config, initial_memory=trace.initial_memory,
                         event_log=event_log,
@@ -625,14 +623,8 @@ def run_ssmt(
         result = run_sampled(trace, predictor, sample, machine=machine,
                              engine=engine)
         return result, engine
-    if kernel == "batched":
-        from repro.kernel.batched import BatchedOoOTimingModel
+    from repro.kernel.batched import BatchedOoOTimingModel
 
-        model: OoOTimingModel = BatchedOoOTimingModel(machine)
-    elif kernel == "scalar":
-        model = OoOTimingModel(machine)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}; "
-                         f"expected 'scalar' or 'batched'")
+    model = BatchedOoOTimingModel(machine)
     result = model.run(trace, predictor, listener=engine)
     return result, engine

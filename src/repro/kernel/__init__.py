@@ -1,44 +1,29 @@
-"""Batched retire-loop kernel and sampled simulation.
+"""The fused retire loop and sampled simulation.
 
-``repro.kernel`` is the structural speed layer over the scalar
-simulator (ROADMAP item 2):
+``repro.kernel`` is the structural speed layer over the per-record
+simulator:
 
 * :func:`~repro.kernel.columns.predecode` /
   :class:`~repro.kernel.columns.TraceColumns` — struct-of-arrays
-  predecode of a trace (numpy / stdlib ``array`` / pure-Python
-  backends),
-* :class:`~repro.kernel.batched.BatchedOoOTimingModel` — the fused
-  column-batched timing + SSMT retire loop, bit-identical to the scalar
-  path,
+  predecode of a trace into plain-list columns,
+* :class:`~repro.kernel.batched.BatchedOoOTimingModel` — the timing
+  model every run constructs; it runs the fused column-batched timing +
+  SSMT retire loop when the listener allows it (none, or exactly an
+  :class:`~repro.core.ssmt.SSMTEngine`) and the inherited per-record
+  loop otherwise, bit-identical either way,
 * :class:`~repro.kernel.sampling.SampleSpec` /
   :func:`~repro.kernel.sampling.run_sampled` — detailed-window sampling
   with functional fast-forward and extrapolated results.
-
-Nothing on the default simulation path imports this package; callers
-opt in via ``--kernel batched`` / ``--sample-interval`` (or the
-``kernel``/``sample`` arguments of :func:`repro.core.ssmt.run_ssmt` and
-:class:`repro.parallel.SweepTask`).
 """
 
 from repro.kernel.batched import BatchedOoOTimingModel
-from repro.kernel.columns import (
-    BACKENDS,
-    TraceColumns,
-    predecode,
-    resolve_backend,
-)
+from repro.kernel.columns import TraceColumns, predecode
 from repro.kernel.sampling import SampleSpec, run_sampled
 
-#: retire-loop kernel implementations selectable by CLI/tasks
-KERNEL_NAMES = ("scalar", "batched")
-
 __all__ = [
-    "BACKENDS",
     "BatchedOoOTimingModel",
-    "KERNEL_NAMES",
     "SampleSpec",
     "TraceColumns",
     "predecode",
-    "resolve_backend",
     "run_sampled",
 ]

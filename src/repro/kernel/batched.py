@@ -1,4 +1,4 @@
-"""The batched retire-loop kernel.
+"""The fused retire loop.
 
 :class:`BatchedOoOTimingModel` is a drop-in
 :class:`~repro.uarch.timing.OoOTimingModel` whose main loop consumes the
@@ -7,26 +7,29 @@ predecoded columns of :mod:`repro.kernel.columns` instead of walking
 :class:`~repro.core.ssmt.SSMTEngine` retire work (predictor training,
 PRB insertion, path tracking, spawn checks) directly into the loop —
 eliminating the per-instruction listener dispatch that dominates the
-scalar path's profile.
+per-record loop's profile.
 
 Bit-identity contract
 ---------------------
-The fused loop performs *exactly* the scalar sequence of operations per
-instruction, in the same order, against the same engine structures; the
-rare conditional blocks (store violations, Path_History aborts, path
-events) dispatch into the engine's shared ``_retire_*`` helpers, which
-are also what ``SSMTEngine.on_retire`` runs.  ``tests/test_kernel.py``
-pins the contract down with randomized property tests and task-key
-payload identity on the gcc/50k reference.
+The fused loop performs *exactly* the per-record sequence of
+operations per instruction, in the same order, against the same engine
+structures; the rare conditional blocks (store violations, Path_History
+aborts, path events) dispatch into the engine's shared ``_retire_*``
+helpers, which are also what ``SSMTEngine.on_retire`` runs.
+``tests/test_kernel.py`` pins the contract down with randomized
+property tests and task-key payload identity on the gcc/50k reference.
 
-The fusion only understands the stock engine surface.  Any other
-listener — or an engine subclass that grew an ``on_timed`` hook — falls
-back to the inherited scalar loop, so correctness never depends on the
-fast path recognising a caller.
+The fusion only understands the stock engine surface, so
+:meth:`BatchedOoOTimingModel.run` is the one place a loop is chosen:
+the fused loop runs when the listener is ``None`` or exactly an
+:class:`SSMTEngine`.  Every other listener — the potential and
+profile-guided engines (which override ``on_retire``), the timeline
+collector, the pipeline recorder — runs the inherited per-record loop,
+so correctness never depends on the fast path recognising a caller.
 
 Hook costs when unused stay zero: telemetry/sanitizer dispatch sits
-behind the engine's precomputed ``_quiet`` flag exactly like the scalar
-path, and a quiet run performs no hook calls at all.
+behind the engine's precomputed ``_quiet`` flag exactly like the
+per-record path, and a quiet run performs no hook calls at all.
 """
 
 from __future__ import annotations
@@ -90,15 +93,11 @@ class _RunState:
 class BatchedOoOTimingModel(OoOTimingModel):
     """Column-batched timing model; see module docstring."""
 
-    #: kernel name, for run metadata and dispatch assertions
-    kernel = "batched"
-
     def run(self, trace: Trace, predictor: BranchPredictorComplex,
             listener=None) -> TimingResult:
-        if listener is not None and (
-                not isinstance(listener, SSMTEngine)
-                or getattr(listener, "on_timed", None) is not None):
-            # Unknown listener surface: correctness over speed.
+        if listener is not None and type(listener) is not SSMTEngine:
+            # Exact type: a subclass may override ``on_retire``, which
+            # the fused loop would silently skip.
             return super().run(trace, predictor, listener)
         columns = predecode(trace)
         result = TimingResult(name=trace.name, cache=self.caches.stats)

@@ -1,30 +1,16 @@
 """Struct-of-arrays predecode of a retirement trace.
 
-The scalar timing loop reads ~10 attributes per dynamic instruction
+The per-record timing loop reads ~10 attributes per dynamic instruction
 (``rec.inst`` then its classification flags, dataflow sets, the record's
 values).  :func:`predecode` walks the trace once and flattens everything
 the hot loop needs into parallel columns — one flags bitmask plus flat
-integer columns with ``-1`` sentinels for "none" — so the batched kernel
+integer columns with ``-1`` sentinels for "none" — so the fused loop
 (:mod:`repro.kernel.batched`) does indexed list reads instead of
 attribute walks.
 
-Backends
---------
-Columns can be held in three storages, selected by the ``backend``
-argument or the ``REPRO_KERNEL_BACKEND`` environment variable:
-
-* ``numpy`` — ``numpy.ndarray`` columns (the default when numpy is
-  importable); enables vectorized summaries and compact storage,
-* ``array`` — stdlib ``array('q')`` columns; compact, no dependency,
-* ``python`` — plain lists (the pure-Python fallback, always available).
-
-``auto`` (the default) picks ``numpy`` when available, else ``array``.
-Whatever the storage, :meth:`TraceColumns.lists` hands the simulation
-loop plain Python lists — CPython indexes lists faster than it unboxes
-numpy scalars, so typed storage is for footprint and vector analytics
-while the loop always runs over lists.  Values that overflow a signed
-64-bit column degrade that one column to a plain list rather than
-failing.
+The columns are plain lists: CPython indexes lists faster than it
+unboxes typed-array or numpy scalars, and the loop reads every column
+per instruction.
 
 Predecode output is memoized on the trace object, so repeated runs over
 the same trace (sweep points, benchmark rounds) pay the predecode walk
@@ -33,9 +19,7 @@ once.
 
 from __future__ import annotations
 
-import os
-from array import array
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.sim.trace import Trace
 
@@ -51,63 +35,9 @@ IS_TAKEN = 1 << 6         # control transfer that redirected the PC
 HAS_DEST = 1 << 7         # writes an architectural register
 HAS_EA = 1 << 8           # carries an effective address
 
-#: recognised storage backends, strongest-preference first
-BACKENDS = ("numpy", "array", "python")
-
 #: column order of :meth:`TraceColumns.lists`
 COLUMN_NAMES = ("flags", "pc", "op", "dest", "src1", "src2", "nsrc",
                 "imm", "ea", "result", "next_pc")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name (or ``None``/``auto``) to a concrete one.
-
-    ``None`` defers to ``REPRO_KERNEL_BACKEND`` (itself defaulting to
-    ``auto``); ``auto`` prefers numpy and falls back to ``array``.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_KERNEL_BACKEND", "auto")
-    if backend == "auto":
-        try:
-            import numpy  # noqa: F401  (availability probe)
-        except ImportError:
-            return "array"
-        return "numpy"
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {backend!r}; expected "
-                         f"one of {BACKENDS + ('auto',)}")
-    return backend
-
-
-def _pack(values: List[int], backend: str):
-    """Store one integer column in the backend's container.
-
-    Falls back to the plain list when a value does not fit a signed
-    64-bit cell (synthetic traces stay well inside, but the predecode
-    contract is total).
-    """
-    if backend == "numpy":
-        import numpy
-
-        try:
-            return numpy.array(values, dtype=numpy.int64)
-        except OverflowError:
-            return values
-    if backend == "array":
-        try:
-            return array("q", values)
-        except OverflowError:
-            return values
-    return values
-
-
-def _as_list(column) -> List[int]:
-    """A plain Python list view of a packed column."""
-    if isinstance(column, list):
-        return column
-    if hasattr(column, "tolist"):
-        return column.tolist()
-    return list(column)
 
 
 class TraceColumns:
@@ -121,12 +51,10 @@ class TraceColumns:
     them.
     """
 
-    __slots__ = ("n", "backend", "records", "flags", "pc", "op", "dest",
-                 "src1", "src2", "nsrc", "imm", "ea", "result", "next_pc",
-                 "_lists")
+    __slots__ = ("n", "records", "flags", "pc", "op", "dest", "src1",
+                 "src2", "nsrc", "imm", "ea", "result", "next_pc")
 
-    def __init__(self, trace: Trace, backend: Optional[str] = None):
-        self.backend = resolve_backend(backend)
+    def __init__(self, trace: Trace):
         records = trace.records
         self.records = records
         self.n = len(records)
@@ -179,63 +107,28 @@ class TraceColumns:
             imm[i] = inst.imm
             result[i] = rec.result
             next_pc[i] = rec.next_pc
-        pack = self.backend
-        self.flags = _pack(flags, pack)
-        self.pc = _pack(pc, pack)
-        self.op = _pack(op, pack)
-        self.dest = _pack(dest, pack)
-        self.src1 = _pack(src1, pack)
-        self.src2 = _pack(src2, pack)
-        self.nsrc = _pack(nsrc, pack)
-        self.imm = _pack(imm, pack)
-        self.ea = _pack(ea, pack)
-        self.result = _pack(result, pack)
-        self.next_pc = _pack(next_pc, pack)
-        self._lists: Optional[Tuple[List[int], ...]] = None
+        self.flags = flags
+        self.pc = pc
+        self.op = op
+        self.dest = dest
+        self.src1 = src1
+        self.src2 = src2
+        self.nsrc = nsrc
+        self.imm = imm
+        self.ea = ea
+        self.result = result
+        self.next_pc = next_pc
 
     def lists(self) -> Tuple[List[int], ...]:
-        """Plain-list views of every column, in :data:`COLUMN_NAMES`
-        order (cached — the simulation loop's working set)."""
-        lists = self._lists
-        if lists is None:
-            lists = tuple(_as_list(getattr(self, name))
-                          for name in COLUMN_NAMES)
-            self._lists = lists
-        return lists
-
-    # -- vectorized summaries (predecode sanity + sampling planning) --------
-
-    def _count(self, mask: int) -> int:
-        flags = self.flags
-        if self.backend == "numpy" and not isinstance(flags, list):
-            import numpy
-
-            return int(numpy.count_nonzero(
-                numpy.bitwise_and(flags, mask)))
-        return sum(1 for f in flags if f & mask)
-
-    def control_count(self) -> int:
-        return self._count(IS_CONTROL)
-
-    def conditional_count(self) -> int:
-        return self._count(IS_COND)
-
-    def terminating_count(self) -> int:
-        return self._count(IS_TERM)
-
-    def load_count(self) -> int:
-        return self._count(IS_LOAD)
-
-    def store_count(self) -> int:
-        return self._count(IS_STORE)
+        """Every column, in :data:`COLUMN_NAMES` order (the simulation
+        loop's working set)."""
+        return tuple(getattr(self, name) for name in COLUMN_NAMES)
 
 
-def predecode(trace: Trace, backend: Optional[str] = None) -> TraceColumns:
-    """Predecode ``trace`` (memoized on the trace object per backend)."""
-    resolved = resolve_backend(backend)
-    cached = getattr(trace, "_kernel_columns", None)
-    if cached is not None and cached.backend == resolved:
-        return cached
-    columns = TraceColumns(trace, resolved)
-    trace._kernel_columns = columns
+def predecode(trace: Trace) -> TraceColumns:
+    """Predecode ``trace`` (memoized on the trace object)."""
+    columns = getattr(trace, "_kernel_columns", None)
+    if columns is None:
+        columns = TraceColumns(trace)
+        trace._kernel_columns = columns
     return columns

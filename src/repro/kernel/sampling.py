@@ -1,6 +1,6 @@
 """Sampled simulation: detailed windows + functional fast-forward.
 
-SMARTS/SimPoint-style systematic sampling over the batched kernel: the
+SMARTS/SimPoint-style systematic sampling over the fused loop: the
 trace is divided into periods of ``interval`` instructions; each period
 runs ``warmup`` instructions in full detail (training predictors,
 warming caches and the SSMT structures, excluded from measurement),

@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.schemas import schema_string
 
@@ -37,7 +37,7 @@ class ResultStore(ABC):
 
     The contract every backend must keep:
 
-    * :meth:`get` returns the exact payload :meth:`put` stored (payloads
+    * :meth:`read` returns the exact payload :meth:`put` stored (payloads
       are already JSON-round-trip normalised by the worker, so identity
       is byte-level after ``json.dumps(..., sort_keys=True)``);
     * anything unreadable, foreign, or mismatched reads as a miss —
@@ -46,7 +46,9 @@ class ResultStore(ABC):
     * :meth:`put` validates that the payload's embedded ``task_key``
       matches the store key (the content-addressing invariant);
     * ``hits`` / ``misses`` / ``writes`` / ``invalid`` counters are
-      maintained for observability.
+      maintained for observability.  Only :meth:`get` and :meth:`put`
+      count; :meth:`read` and membership tests never write a counter, so
+      API reads on another thread cannot lose or repeat an increment.
     """
 
     hits: int
@@ -55,8 +57,24 @@ class ResultStore(ABC):
     invalid: int
 
     @abstractmethod
+    def read(self, key: str) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """Uncounted lookup: ``(payload, invalid)``.
+
+        ``payload`` is ``None`` on a miss; ``invalid`` is true when an
+        entry exists but is unreadable, foreign, or mismatched (which
+        also reads as a miss).
+        """
+
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload for ``key``, or ``None`` on miss."""
+        """The stored payload for ``key``, or ``None`` on miss (counted)."""
+        payload, invalid = self.read(key)
+        if invalid:
+            self.invalid += 1
+        if payload is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return payload
 
     @abstractmethod
     def put(self, key: str, payload: Dict[str, Any]) -> None:
@@ -68,10 +86,7 @@ class ResultStore(ABC):
 
     def __contains__(self, key: str) -> bool:
         """Membership without touching the hit/miss counters."""
-        before_hits, before_misses = self.hits, self.misses
-        present = self.get(key) is not None
-        self.hits, self.misses = before_hits, before_misses
-        return present
+        return self.read(key)[0] is not None
 
     @staticmethod
     def check_key(key: str, payload: Dict[str, Any]) -> None:
@@ -79,6 +94,17 @@ class ResultStore(ABC):
         if payload.get("task_key") != key:
             raise ValueError(f"payload task_key {payload.get('task_key')!r} "
                              f"does not match store key {key!r}")
+
+    @staticmethod
+    def validated(key: str, payload: Any,
+                  ) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """A :meth:`read` result for a decoded entry: foreign-schema or
+        mismatched entries read as invalid misses."""
+        if (not isinstance(payload, dict)
+                or payload.get("schema") != POINT_SCHEMA
+                or payload.get("task_key") != key):
+            return None, True
+        return payload, False
 
 
 class ResultCache(ResultStore):
@@ -95,29 +121,19 @@ class ResultCache(ResultStore):
     def path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached payload for ``key``, or ``None`` on miss.
+    def read(self, key: str) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """The cached payload for ``key`` (see :meth:`ResultStore.read`).
 
-        Corrupt or mismatched files count as misses (and are left in
-        place for post-mortems; a re-run overwrites them atomically).
+        Corrupt or mismatched files read as invalid misses (and are left
+        in place for post-mortems; a re-run overwrites them atomically).
         """
         path = self.path(key)
         try:
             with open(path) as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
-            if os.path.exists(path):
-                self.invalid += 1
-            self.misses += 1
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("schema") != POINT_SCHEMA
-                or payload.get("task_key") != key):
-            self.invalid += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+            return None, os.path.exists(path)
+        return self.validated(key, payload)
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Atomically persist ``payload`` under ``key``."""

@@ -22,9 +22,7 @@ key can safely index an on-disk result cache
 every point whose key is already cached.  The display ``label`` is
 deliberately **excluded** — it names a grid column, not a simulation —
 so two grids that run the same point under different labels share one
-cache entry.  The ``kernel`` field is excluded for the same reason:
-the batched kernel is bit-identical to the scalar loop by contract, so
-a scalar run can satisfy a batched request from cache and vice versa.
+cache entry.
 
 :data:`CODE_SCHEMA_VERSION` must be bumped whenever simulator semantics
 change (timing model, workload generator, mechanism behaviour, or the
@@ -62,12 +60,6 @@ from repro.schemas import (  # noqa: F401  (re-exports)
 
 #: Simulations a sweep point can request.
 TASK_KINDS = ("baseline", "ssmt", "oracle", "potential")
-
-#: Retire-loop kernels a task may select.  Mirrors
-#: ``repro.kernel.KERNEL_NAMES`` without importing :mod:`repro.kernel`
-#: (task construction must stay import-light).
-KERNELS = ("scalar", "batched")
-
 
 def _jsonable(value: Any) -> Any:
     """Recursively convert dataclasses / enums / tuples to JSON types."""
@@ -116,10 +108,6 @@ class SweepTask:
     #: zoo baseline direction predictor; ``None`` is the paper's hybrid
     #: (the default path never imports :mod:`repro.branch.zoo`)
     predictor: Optional["PredictorConfig"] = None
-    #: retire-loop kernel; NOT part of the key — ``batched`` is
-    #: bit-identical to ``scalar`` by contract, so both share one cache
-    #: entry (``tests/test_kernel.py`` enforces payload identity)
-    kernel: str = "scalar"
     #: sampled-simulation spec (:class:`repro.kernel.sampling.SampleSpec`);
     #: IS part of the key — sampled results are extrapolations, never
     #: interchangeable with exact ones
@@ -129,9 +117,6 @@ class SweepTask:
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; "
                              f"expected one of {TASK_KINDS}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; "
-                             f"expected one of {KERNELS}")
         if self.sample is not None:
             if self.kind not in ("baseline", "ssmt"):
                 raise ValueError(

@@ -25,9 +25,10 @@ from typing import Any, Dict, Optional
 from repro.branch.unit import BranchPredictorComplex, oracle_complex
 from repro.core.oracle import run_potential
 from repro.core.ssmt import SSMTEngine, run_ssmt
+from repro.kernel import BatchedOoOTimingModel, run_sampled
 from repro.parallel.cache import POINT_SCHEMA
 from repro.parallel.taskkey import SweepTask
-from repro.uarch.timing import OoOTimingModel, TimingResult
+from repro.uarch.timing import TimingResult
 from repro.workloads import benchmark_trace
 
 
@@ -90,20 +91,14 @@ def run_task(task: SweepTask, telemetry: Optional[Any] = None,
     result: TimingResult
     if task.kind == "baseline":
         if task.sample is not None:
-            from repro.kernel.sampling import run_sampled
-
             result = run_sampled(trace, _direction_complex(task),
                                  task.sample, machine=task.machine)
-        elif task.kernel == "batched":
-            from repro.kernel.batched import BatchedOoOTimingModel
-
+        else:
             result = BatchedOoOTimingModel(task.machine).run(
                 trace, _direction_complex(task))
-        else:
-            result = OoOTimingModel(task.machine).run(
-                trace, _direction_complex(task))
     elif task.kind == "oracle":
-        result = OoOTimingModel(task.machine).run(trace, oracle_complex())
+        result = BatchedOoOTimingModel(task.machine).run(
+            trace, oracle_complex())
     elif task.kind == "potential":
         result, _ = run_potential(trace, task.potential,
                                   machine=task.machine,
@@ -111,8 +106,7 @@ def run_task(task: SweepTask, telemetry: Optional[Any] = None,
     else:  # ssmt (validated by SweepTask.__post_init__)
         result, engine = run_ssmt(trace, task.config, machine=task.machine,
                                   predictor=_direction_complex(task),
-                                  telemetry=telemetry,
-                                  kernel=task.kernel, sample=task.sample)
+                                  telemetry=telemetry, sample=task.sample)
         metrics = engine_metrics(engine)
     payload: Dict[str, Any] = {
         "schema": POINT_SCHEMA,

@@ -18,10 +18,15 @@ A request::
       "knob": "n", "values": [4, 10],     # optional SSMTConfig sweep
       "widths": [8, 16],                  # optional machine widths
       "predictor": "tage",                # optional zoo baseline
-      "kernel": "batched",                # default "scalar"
+      "kernel": "batched",                # accepted, ignored
       "sample": {"interval": 10000,       # optional sampled simulation
                  "warmup": 2000}
     }
+
+``kernel`` (``"scalar"`` or ``"batched"``) is still validated because
+existing clients send it, but it selects nothing — every run takes the
+fused retire loop — so it is left out of the canonical spec and grids
+that differ only in it share one job id.
 
 Validation failures raise :class:`GridSpecError` carrying the offending
 field, which the HTTP layer renders as a structured 400 — before the
@@ -34,6 +39,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.kernel.sampling import SampleSpec
 from repro.parallel.sweep import build_grid, parse_knob_value
 from repro.parallel.taskkey import SweepTask, canonical_json
 from repro.workloads import BENCHMARK_NAMES
@@ -145,7 +151,7 @@ def normalise_spec(payload: Any,
                              f"from {', '.join(sorted(ARENA_BASELINES))}")
 
     kernel = payload.get("kernel", "scalar")
-    if kernel not in ("scalar", "batched"):
+    if kernel not in ("scalar", "batched"):  # outside input, see above
         raise GridSpecError("kernel", f"kernel must be 'scalar' or "
                                       f"'batched', got {kernel!r}")
 
@@ -163,7 +169,7 @@ def normalise_spec(payload: Any,
         warmup = _require_int(sample.get("warmup", 2000), "sample.warmup",
                               minimum=0)
         try:
-            _build_sample_spec(interval, warmup)
+            SampleSpec(interval=interval, warmup=warmup)
         except ValueError as error:
             raise GridSpecError("sample", str(error))
         sample = {"interval": interval, "warmup": warmup}
@@ -175,15 +181,8 @@ def normalise_spec(payload: Any,
         "values": values,
         "widths": widths,
         "predictor": predictor,
-        "kernel": kernel,
         "sample": sample,
     }
-
-
-def _build_sample_spec(interval: int, warmup: int) -> Any:
-    from repro.kernel.sampling import SampleSpec
-
-    return SampleSpec(interval=interval, warmup=warmup)
 
 
 def spec_tasks(spec: Dict[str, Any]) -> List[SweepTask]:
@@ -195,13 +194,11 @@ def spec_tasks(spec: Dict[str, Any]) -> List[SweepTask]:
         predictor = ARENA_BASELINES[spec["predictor"]]
     sample = None
     if spec["sample"] is not None:
-        sample = _build_sample_spec(spec["sample"]["interval"],
-                                    spec["sample"]["warmup"])
+        sample = SampleSpec(**spec["sample"])
     return build_grid(spec["benchmarks"], spec["instructions"],
                       knob=spec["knob"], values=spec["values"],
                       widths=tuple(spec["widths"]),
-                      predictor=predictor,
-                      kernel=spec["kernel"], sample=sample)
+                      predictor=predictor, sample=sample)
 
 
 def spec_job_id(spec: Dict[str, Any]) -> str:

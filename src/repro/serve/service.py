@@ -276,10 +276,7 @@ class SweepService:
         """Read a payload without perturbing the store's hit/miss
         counters — API reads are not cache traffic, and the loadtest
         derives hit rates from counter deltas."""
-        before = (self.store.hits, self.store.misses, self.store.invalid)
-        payload = self.store.get(key)
-        self.store.hits, self.store.misses, self.store.invalid = before
-        return payload
+        return self.store.read(key)[0]
 
     # -- dispatcher -----------------------------------------------------------
 

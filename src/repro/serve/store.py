@@ -18,9 +18,9 @@ miss-never-error contract, add a URL scheme to :func:`make_store`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from repro.parallel.cache import POINT_SCHEMA, ResultCache, ResultStore
+from repro.parallel.cache import ResultCache, ResultStore
 
 
 class MemoryResultStore(ResultStore):
@@ -33,20 +33,13 @@ class MemoryResultStore(ResultStore):
         self.writes = 0
         self.invalid = 0
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
+    def read(self, key: str) -> Tuple[Optional[Dict[str, Any]], bool]:
         payload = self._data.get(key)
         if payload is None:
-            self.misses += 1
-            return None
-        if (payload.get("schema") != POINT_SCHEMA
-                or payload.get("task_key") != key):
-            # Same contract as the disk backend: foreign or mismatched
-            # entries read as misses, never as errors.
-            self.invalid += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+            return None, False
+        # Same contract as the disk backend: foreign or mismatched
+        # entries read as misses, never as errors.
+        return self.validated(key, payload)
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         self.check_key(key, payload)

@@ -1,13 +1,15 @@
-"""Tests for the batched retire-loop kernel and sampled simulation.
+"""Tests for the fused retire loop and sampled simulation.
 
 The contract under test (``repro.kernel``):
 
 * predecode: the struct-of-arrays columns agree with the per-record
-  attribute walk on every backend, including the pure-Python fallback,
-* batched == scalar: the fused kernel is *bit-identical* to the scalar
-  loop, both at the ``TimingResult``/engine-report level and at the
-  worker-payload level (the justification for excluding ``kernel`` from
-  the task key),
+  attribute walk,
+* fused == per-record: :class:`BatchedOoOTimingModel` is
+  *bit-identical* to the per-record loop of :class:`OoOTimingModel`
+  (the oracle), both at the ``TimingResult``/engine-report level and
+  at the worker-payload level, for the dynamic engine and for the
+  profile-guided engine (which must take the per-record loop because it
+  overrides ``on_retire``),
 * PRB ``insert_decoded`` == ``insert`` (the decoded-column fast path),
 * sampled simulation: marked, key-distinct, within the documented error
   bound, and exact for a degenerate spec.
@@ -21,15 +23,13 @@ from hypothesis import strategies as st
 
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.prb import PostRetirementBuffer
-from repro.core.ssmt import SSMTConfig, run_ssmt
-from repro.kernel import (
-    BACKENDS,
-    BatchedOoOTimingModel,
-    KERNEL_NAMES,
-    SampleSpec,
-    predecode,
-    resolve_backend,
+from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
+from repro.core.static import (
+    StaticSSMTEngine,
+    prebuild_microthreads,
+    profile_difficult_paths,
 )
+from repro.kernel import BatchedOoOTimingModel, SampleSpec, predecode
 from repro.kernel.columns import (
     HAS_DEST,
     HAS_EA,
@@ -41,29 +41,15 @@ from repro.kernel.columns import (
     IS_TERM,
 )
 from repro.parallel.taskkey import SweepTask
-from repro.parallel.worker import run_task
+from repro.parallel.worker import engine_metrics, run_task
 from repro.uarch.timing import OoOTimingModel
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace
 
 
-def fresh_trace(name, n):
-    """A trace without memoized columns (predecode caches on the trace)."""
-    return benchmark_trace(name, n)
-
-
-def _require(backend):
-    """Skip a numpy-backend case when numpy is not installed (the
-    fallback CI job runs this suite without it)."""
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-
-
 class TestPredecode:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_columns_match_records(self, backend):
-        _require(backend)
-        trace = fresh_trace("gcc", 4000)
-        columns = predecode(trace, backend=backend)
+    def test_columns_match_records(self):
+        trace = benchmark_trace("gcc", 4000)
+        columns = predecode(trace)
         assert columns.n == len(trace.records)
         (flags, pcs, ops, dests, src1s, src2s, nsrcs, imms, eas,
          results, next_pcs) = columns.lists()
@@ -93,63 +79,59 @@ class TestPredecode:
             assert results[idx] == (rec.result or 0)
             assert next_pcs[idx] == rec.next_pc
 
-    def test_backends_produce_identical_lists(self):
-        trace = fresh_trace("mcf_2k", 3000)
-        reference = predecode(trace, backend="python").lists()
-        available = [b for b in BACKENDS if b != "numpy"]
-        try:
-            import numpy  # noqa: F401
-            available.insert(0, "numpy")
-        except ImportError:
-            pass
-        for backend in available:
-            if backend == "python":
-                continue
-            got = predecode(trace, backend=backend).lists()
-            assert [list(col) for col in got] \
-                == [list(col) for col in reference], backend
+    def test_predecode_is_memoized(self):
+        trace = benchmark_trace("gcc", 500)
+        first = predecode(trace)
+        assert predecode(trace) is first
 
-    def test_predecode_is_memoized_per_backend(self):
-        trace = fresh_trace("gcc", 500)
-        first = predecode(trace, backend="python")
-        assert predecode(trace, backend="python") is first
-        assert predecode(trace, backend="array") is not first
 
-    def test_env_var_forces_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
-        assert resolve_backend(None) == "python"
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-        assert resolve_backend("array") == "array"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    def test_kernel_names(self):
-        assert KERNEL_NAMES == ("scalar", "batched")
+def observed(result, engine):
+    """The comparable outcome of one run: timing + engine report."""
+    return (result.as_dict(),
+            json.loads(json.dumps(engine.report(), default=repr,
+                                  sort_keys=True)))
 
 
 def ssmt_pair(name, n, config=None):
-    """(scalar, batched) timing+report pairs for one workload."""
+    """(per-record, fused) outcomes of the dynamic engine."""
     trace = benchmark_trace(name, n)
+    engine = SSMTEngine(config, initial_memory=trace.initial_memory)
+    result = OoOTimingModel().run(trace, BranchPredictorComplex(),
+                                  listener=engine)
+    fused = run_ssmt(trace, config, predictor=BranchPredictorComplex())
+    return observed(result, engine), observed(*fused)
+
+
+def static_pair(name, n):
+    """(per-record, batched-model) outcomes of the profile-guided
+    engine; the microthreads are prebuilt afresh for each run."""
+    trace = benchmark_trace(name, n)
+    config = SSMTConfig()
+    paths = profile_difficult_paths(
+        trace, n=config.n, threshold=config.difficulty_threshold)
     out = []
-    for kernel in ("scalar", "batched"):
-        result, engine = run_ssmt(trace, config,
-                                  predictor=BranchPredictorComplex(),
-                                  kernel=kernel)
-        out.append((result.as_dict(),
-                    json.loads(json.dumps(engine.report(), default=repr,
-                                          sort_keys=True))))
+    for model in (OoOTimingModel(), BatchedOoOTimingModel()):
+        engine = StaticSSMTEngine(
+            prebuild_microthreads(trace, paths, config), config,
+            initial_memory=trace.initial_memory)
+        result = model.run(trace, BranchPredictorComplex(),
+                           listener=engine)
+        out.append(observed(result, engine))
     return out
 
 
 class TestBatchedBitIdentity:
     @pytest.mark.parametrize("name", ["gcc", "go", "mcf_2k"])
     def test_ssmt_identical_timing_and_report(self, name):
-        (scalar_timing, scalar_report), (batched_timing, batched_report) \
-            = ssmt_pair(name, 30_000)
-        assert batched_timing == scalar_timing
-        assert batched_report == scalar_report
+        scalar, fused = ssmt_pair(name, 30_000)
+        assert fused == scalar
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_NAMES))
+    def test_static_engine_takes_the_per_record_loop(self, name):
+        """``StaticSSMTEngine`` overrides ``on_retire``; the batched
+        model must not fuse it away."""
+        scalar, batched = static_pair(name, 10_000)
+        assert batched == scalar
 
     def test_baseline_identical(self):
         trace = benchmark_trace("gcc", 20_000)
@@ -163,25 +145,25 @@ class TestBatchedBitIdentity:
            path_n=st.integers(4, 12))
     @settings(max_examples=8, deadline=None)
     def test_property_batched_equals_scalar(self, name, n, path_n):
-        config = SSMTConfig(n=path_n)
-        (scalar_timing, scalar_report), (batched_timing, batched_report) \
-            = ssmt_pair(name, n, config)
-        assert batched_timing == scalar_timing
-        assert batched_report == scalar_report
+        scalar, fused = ssmt_pair(name, n, SSMTConfig(n=path_n))
+        assert fused == scalar
 
     def test_payload_identity_gcc_50k(self):
-        """The acceptance bar: worker payloads (the cached artifact) are
-        byte-identical scalar vs batched on the gcc/50k reference — which
-        is what licenses sharing one task key across kernels."""
-        scalar_task = SweepTask(kind="ssmt", benchmark="gcc",
-                                instructions=50_000)
-        batched_task = SweepTask(kind="ssmt", benchmark="gcc",
-                                 instructions=50_000, kernel="batched")
-        assert scalar_task.key == batched_task.key
-        scalar_payload = run_task(scalar_task)
-        batched_payload = run_task(batched_task)
-        assert json.dumps(batched_payload, sort_keys=True) \
-            == json.dumps(scalar_payload, sort_keys=True)
+        """The acceptance bar: the worker payload (the cached artifact)
+        of the fused loop is byte-identical to a payload assembled from
+        a per-record run on the gcc/50k reference."""
+        task = SweepTask(kind="ssmt", benchmark="gcc", instructions=50_000)
+        fused_payload = run_task(task)
+        trace = benchmark_trace("gcc", 50_000)
+        engine = SSMTEngine(task.config, initial_memory=trace.initial_memory)
+        result = OoOTimingModel(task.machine).run(
+            trace, BranchPredictorComplex(), listener=engine)
+        scalar = json.loads(json.dumps(
+            {"timing": result.as_dict(), "metrics": engine_metrics(engine)},
+            sort_keys=True))
+        assert json.dumps(scalar, sort_keys=True) == json.dumps(
+            {"timing": fused_payload["timing"],
+             "metrics": fused_payload["metrics"]}, sort_keys=True)
 
     def test_unknown_listener_falls_back_to_scalar(self):
         """A listener outside the fused engine surface still works — the
@@ -282,43 +264,3 @@ class TestSampled:
         with pytest.raises(ValueError):
             SweepTask(kind="ssmt", benchmark="gcc", instructions=20_000,
                       sample={"interval": 10_000})
-
-
-class TestRunSsmtDispatch:
-    def test_unknown_kernel_rejected(self):
-        trace = benchmark_trace("gcc", 1000)
-        with pytest.raises(ValueError):
-            run_ssmt(trace, kernel="turbo")
-
-
-class TestZeroCost:
-    def test_default_paths_never_import_kernel(self):
-        """Scalar-kernel, unsampled tasks keep :mod:`repro.kernel` out of
-        sys.modules entirely — the same hot-path guard the zoo has
-        (``tests/test_zoo_zero_cost.py``): the default simulation path
-        must measure exactly the code it measured before the kernel
-        package existed."""
-        import json as json_mod
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        program = (
-            "import sys\n"
-            "from repro.parallel.taskkey import SweepTask\n"
-            "from repro.parallel.worker import run_task\n"
-            "run_task(SweepTask(kind='baseline', benchmark='gcc',\n"
-            "                   instructions=2000))\n"
-            "run_task(SweepTask(kind='ssmt', benchmark='gcc',\n"
-            "                   instructions=2000))\n"
-            "kernel = [m for m in sys.modules\n"
-            "          if m.startswith('repro.kernel')]\n"
-            "print(__import__('json').dumps({'kernel_modules': kernel}))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", program],
-                              capture_output=True, text=True,
-                              env={"PYTHONPATH": src, "PATH": ""},
-                              check=True)
-        outcome = json_mod.loads(proc.stdout.strip().splitlines()[-1])
-        assert outcome["kernel_modules"] == []

@@ -52,7 +52,7 @@ def make_service(tmp_path, store=None, **config):
 def test_normalise_fills_defaults():
     spec = normalise_spec({"benchmarks": ["comp"]})
     assert spec["instructions"] == 20_000
-    assert spec["kernel"] == "scalar"
+    assert "kernel" not in spec
     assert spec["knob"] is None and spec["values"] == []
     assert spec["widths"] == [] and spec["sample"] is None
 
@@ -99,6 +99,14 @@ def test_equivalent_payloads_share_a_job_id():
     assert spec_job_id(normalise_spec(c)) != spec_job_id(normalise_spec(a))
 
 
+@pytest.mark.parametrize("kernel", ["scalar", "batched"])
+def test_kernel_field_is_accepted_and_ignored(kernel):
+    # Every run takes the fused loop, so the field selects nothing: a
+    # grid names one job whether or not (and however) it is set.
+    assert spec_job_id(normalise_spec({**SMALL, "kernel": kernel})) \
+        == spec_job_id(normalise_spec(SMALL))
+
+
 def test_spec_tasks_match_cli_grid():
     from repro.parallel import build_grid
 
@@ -133,6 +141,38 @@ def test_memory_store_contract():
     store._data["bad"] = {"schema": "alien/9", "task_key": "bad"}
     assert store.get("bad") is None and store.invalid == 1
     assert store_stats(store)["entries"] == 2
+
+
+def test_uncounted_reads_never_write_counters(tmp_path):
+    """A service read racing the dispatcher keeps the dispatcher's
+    counter increments: the read blocks mid-lookup while a counted
+    lookup lands, and the count must survive the read finishing."""
+
+    class BlockingStore(MemoryResultStore):
+        def __init__(self):
+            super().__init__()
+            self.entered = threading.Event()
+            self.release = threading.Event()
+
+        def read(self, key):
+            self.entered.set()
+            assert self.release.wait(5)
+            return super().read(key)
+
+    store = BlockingStore()
+    store.put("k", _point("k"))
+    service = make_service(tmp_path, store=store)
+    for peek in (service.task, store.__contains__):
+        hits = store.hits
+        reader = threading.Thread(target=peek, args=("k",))
+        reader.start()
+        assert store.entered.wait(5)
+        store.hits += 1                 # the dispatcher's counted hit
+        store.release.set()
+        reader.join(5)
+        assert store.hits == hits + 1
+        store.entered.clear()
+        store.release.clear()
 
 
 def test_make_store(tmp_path):
