@@ -17,6 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.branch.unit import BranchPredictorComplex
+from repro.uarch.config import MachineConfig, TABLE3_BASELINE
+from repro.uarch.timing import OoOTimingModel
+
 
 @dataclass
 class InstructionTiming:
@@ -66,6 +70,16 @@ class PipelineRecorder:
         chained = getattr(self._chain, "on_timed", None)
         if chained is not None:
             chained(idx, rec, fetch, dispatch, issue, complete, retire)
+
+
+def record_pipeline(trace, start: int, count: int, engine=None,
+                    machine: MachineConfig = TABLE3_BASELINE,
+                    ) -> List[InstructionTiming]:
+    """Pipeline timings of instructions ``[start, start + count)``."""
+    recorder = PipelineRecorder(start=start, count=count, chain=engine)
+    OoOTimingModel(machine).run(trace, BranchPredictorComplex(),
+                                listener=recorder)
+    return recorder.records
 
 
 def render_pipeline(records: Sequence[InstructionTiming],
