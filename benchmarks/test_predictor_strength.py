@@ -27,7 +27,7 @@ from repro.branch.unit import BranchPredictorComplex
 from repro.branch.zoo import ARENA_BASELINES, make_complex
 from repro.core.ssmt import SSMTConfig, run_ssmt
 from repro.telemetry import write_bench_json
-from repro.uarch.timing import OoOTimingModel
+from repro.kernel import OoOTimingModel
 from repro.workloads import benchmark_trace
 
 STRENGTH_BENCHMARKS = ("comp", "gcc", "mcf_2k", "parser_2k")

@@ -5,6 +5,13 @@ Not a paper experiment — this measures the reproduction's own speed
 timing model and the full SSMT machine) so regressions in the hot loops
 are caught.  These run multiple rounds since they are cheap.
 
+Every gate keeps measuring the loop it always measured: the
+``timing``/``ssmt``/``ssmt_telemetry`` points, the regression gate and
+the telemetry/obs overhead budgets time the per-record loop, now kept
+as :class:`~repro.perf.reference.ReferenceTimingModel`; the
+``ssmt_batched`` point and the 3x seed gate time the fused loop of
+:class:`~repro.kernel.batched.OoOTimingModel`.
+
 The module also checks the telemetry layer's overhead contract: an
 attached :class:`~repro.telemetry.session.TelemetrySession` (sampler +
 tracer) may cost at most 10% over a detached run.  Measured means are
@@ -33,8 +40,9 @@ import pytest
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTConfig, SSMTEngine
 from repro.sim.functional import FunctionalSimulator
+from repro.kernel import OoOTimingModel
+from repro.perf.reference import ReferenceTimingModel
 from repro.telemetry import TelemetrySession, write_bench_json
-from repro.uarch.timing import OoOTimingModel
 from repro.workloads import benchmark_trace, build_benchmark
 
 BENCH = "gcc"
@@ -90,7 +98,7 @@ def test_functional_simulator_throughput(benchmark):
 
 def test_timing_model_throughput(benchmark, trace):
     def run():
-        return OoOTimingModel().run(trace, BranchPredictorComplex())
+        return ReferenceTimingModel().run(trace, BranchPredictorComplex())
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.instructions == LENGTH
@@ -101,8 +109,8 @@ def test_ssmt_machine_throughput(benchmark, trace):
     def run():
         engine = SSMTEngine(SSMTConfig(),
                             initial_memory=trace.initial_memory)
-        return OoOTimingModel().run(trace, BranchPredictorComplex(),
-                                    listener=engine)
+        return ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                          engine)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.instructions == LENGTH
@@ -110,14 +118,12 @@ def test_ssmt_machine_throughput(benchmark, trace):
 
 
 def test_batched_kernel_throughput(benchmark, trace):
-    """The fused batched retire loop on the full SSMT machine."""
-    from repro.kernel.batched import BatchedOoOTimingModel
+    """The fused retire loop on the full SSMT machine."""
 
     def run():
         engine = SSMTEngine(SSMTConfig(),
                             initial_memory=trace.initial_memory)
-        return BatchedOoOTimingModel().run(trace, BranchPredictorComplex(),
-                                           listener=engine)
+        return OoOTimingModel().run(trace, BranchPredictorComplex(), engine)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.instructions == LENGTH
@@ -132,8 +138,8 @@ def test_ssmt_telemetry_throughput(benchmark, trace):
         engine = SSMTEngine(SSMTConfig(),
                             initial_memory=trace.initial_memory,
                             telemetry=telemetry)
-        return OoOTimingModel().run(trace, BranchPredictorComplex(),
-                                    listener=engine)
+        return ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                          engine)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.instructions == LENGTH
@@ -176,8 +182,8 @@ def test_throughput_regression_gate(trace):
         engine = SSMTEngine(SSMTConfig(),
                             initial_memory=trace.initial_memory)
         start = time.perf_counter()
-        OoOTimingModel().run(trace, BranchPredictorComplex(),
-                             listener=engine)
+        ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                   engine)
         return time.perf_counter() - start
 
     # Best of paired (sim, calibration) attempts — see the batched gate
@@ -246,16 +252,15 @@ def test_optimized_speedup_over_seed_baseline(trace):
 
 
 def test_batched_kernel_speedup_over_seed(trace):
-    """The batched kernel must clear 3x the committed seed throughput.
+    """The fused loop must clear 3x the committed seed throughput.
 
     Same cross-machine normalization as the regression gate: fresh
-    batched-kernel throughput divided by the calibration yardstick,
+    fused-loop throughput divided by the calibration yardstick,
     compared against the committed seed tree's normalized point.  The
     first run pays the one-time predecode walk; best-of-three reflects
-    steady-state sweep throughput, which is what the kernel exists for.
+    steady-state sweep throughput, which is what the fused loop exists
+    for.
     """
-    from repro.kernel.batched import BatchedOoOTimingModel
-
     with open(BASELINE_PATH) as fh:
         baseline = json.load(fh)
 
@@ -263,8 +268,7 @@ def test_batched_kernel_speedup_over_seed(trace):
         engine = SSMTEngine(SSMTConfig(),
                             initial_memory=trace.initial_memory)
         start = time.perf_counter()
-        BatchedOoOTimingModel().run(trace, BranchPredictorComplex(),
-                                    listener=engine)
+        OoOTimingModel().run(trace, BranchPredictorComplex(), engine)
         return time.perf_counter() - start
 
     # Ambient load depresses whichever side it hits; pairing the sim run
@@ -307,8 +311,8 @@ def test_telemetry_overhead_within_budget(trace):
                             initial_memory=trace.initial_memory,
                             telemetry=telemetry)
         start = time.perf_counter()
-        OoOTimingModel().run(trace, BranchPredictorComplex(),
-                             listener=engine)
+        ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                   engine)
         return time.perf_counter() - start
 
     detached = min(run_once(None) for _ in range(3))
@@ -348,8 +352,8 @@ def test_obs_overhead_within_budget(trace):
                             initial_memory=trace.initial_memory,
                             telemetry=telemetry)
         start = time.perf_counter()
-        OoOTimingModel().run(trace, BranchPredictorComplex(),
-                             listener=engine)
+        ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                   engine)
         return time.perf_counter() - start
 
     def obs_session():

@@ -13,7 +13,7 @@ import sys
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.events import EventLog
 from repro.core.ssmt import SSMTConfig, SSMTEngine
-from repro.uarch.timing import OoOTimingModel
+from repro.kernel import OoOTimingModel
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace
 
 
@@ -27,7 +27,7 @@ def main():
     log = EventLog(capacity=100_000)
     engine = SSMTEngine(SSMTConfig(), initial_memory=trace.initial_memory,
                         event_log=log)
-    OoOTimingModel().run(trace, BranchPredictorComplex(), listener=engine)
+    OoOTimingModel().run(trace, BranchPredictorComplex(), engine)
 
     print(f"{name}: {len(trace)} instructions")
     print("event totals:", log.summary())

@@ -9,16 +9,14 @@ kick in.
 Run:  python examples/pipeline_diagram.py
 """
 
-from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTConfig, SSMTEngine
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
 from repro.uarch.pipeline_view import (
-    PipelineRecorder,
+    record_pipeline,
     render_pipeline,
     summarize_stalls,
 )
-from repro.uarch.timing import OoOTimingModel
 
 KERNEL = """
 .data table 64 57 3 91 22 68 14 77 41 5 99 33 60 12 84 29 50 73 8 66 95 17 38 55 81 26 62 44 70 11 88 35 58 2 92 20 65 16 79 40 6 97 31 59 13 86 28 52 74 9 67 94 18 39 56 80 27 63 45 71 10 89 36 53 24
@@ -49,23 +47,20 @@ def main():
     window_start = 25_000  # well past predictor and Path Cache warm-up
     window = 30
 
-    recorder = PipelineRecorder(start=window_start, count=window)
-    OoOTimingModel().run(trace, BranchPredictorComplex(), listener=recorder)
+    records = record_pipeline(trace, window_start, window)
     print("=== baseline machine (hardware hybrid only) ===")
-    print(render_pipeline(recorder.records))
+    print(render_pipeline(records))
     print("mean stage gaps:", {k: round(v, 1) for k, v in
-                               summarize_stalls(recorder.records).items()})
+                               summarize_stalls(records).items()})
 
     engine = SSMTEngine(SSMTConfig(n=4, training_interval=8,
                                    build_latency=20),
                         initial_memory=trace.initial_memory)
-    recorder = PipelineRecorder(start=window_start, count=window,
-                                chain=engine)
-    OoOTimingModel().run(trace, BranchPredictorComplex(), listener=recorder)
+    records = record_pipeline(trace, window_start, window, engine)
     print("\n=== with difficult-path microthreads ===")
-    print(render_pipeline(recorder.records))
+    print(render_pipeline(records))
     print("mean stage gaps:", {k: round(v, 1) for k, v in
-                               summarize_stalls(recorder.records).items()})
+                               summarize_stalls(records).items()})
     print("\nReading: the baseline shows fetch gaps after each mispredicted "
           "'blt r6, r7'\n(the 20-cycle bubble); with microthread predictions "
           "the gap collapses or\nshrinks to the late-recovery distance.")

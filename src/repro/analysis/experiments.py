@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.oracle import PotentialConfig
 from repro.core.ssmt import SSMTConfig
-from repro.kernel.batched import BatchedOoOTimingModel
+from repro.kernel.batched import OoOTimingModel
 from repro.parallel import SweepRunner, SweepTask, point_ipc
 from repro.sim.trace import Trace
 from repro.uarch.config import TABLE3_BASELINE, MachineConfig
@@ -32,7 +32,7 @@ from repro.workloads.suite import DEFAULT_TRACE_LENGTH
 def baseline_run(trace: Trace,
                  machine: MachineConfig = TABLE3_BASELINE) -> TimingResult:
     """The Table 3 baseline machine with the hardware hybrid predictor."""
-    return BatchedOoOTimingModel(machine).run(trace, BranchPredictorComplex())
+    return OoOTimingModel(machine).run(trace, BranchPredictorComplex())
 
 
 def _run_grid(tasks: List[SweepTask], jobs: Optional[int],

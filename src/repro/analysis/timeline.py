@@ -12,12 +12,13 @@ profile-guided variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.branch.unit import BranchPredictorComplex
+from repro.core.ssmt import SSMTEngine
+from repro.kernel.batched import OoOTimingModel
 from repro.sim.trace import Trace
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel
 
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
@@ -37,68 +38,48 @@ class TimelinePoint:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
-class _WindowCollector:
-    """Listener recording retire cycles at window boundaries."""
-
-    def __init__(self, window: int, chain=None):
-        self.window = window
-        self.boundaries: List[Tuple[int, int]] = []  # (idx, retire_cycle)
-        self._chain = chain
-        if chain is not None:
-            for hook in ("on_fetch", "lookup_prediction", "on_control",
-                         "on_prediction_outcome"):
-                target = getattr(chain, hook, None)
-                if target is not None:
-                    setattr(self, hook, target)
-
-    def on_retire(self, idx, rec, retire_cycle):
-        if idx % self.window == self.window - 1:
-            self.boundaries.append((idx, retire_cycle))
-        chained = getattr(self._chain, "on_retire", None)
-        if chained is not None:
-            chained(idx, rec, retire_cycle)
-
-
 def ipc_timeline(
     trace: Trace,
     window: int = 20_000,
     machine: MachineConfig = TABLE3_BASELINE,
-    listener=None,
+    engine: Optional[SSMTEngine] = None,
 ) -> List[TimelinePoint]:
-    """Windowed IPC over a timing run (optionally with an SSMT listener)."""
-    collector = _WindowCollector(window, chain=listener)
-    model = OoOTimingModel(machine)
-    model.run(trace, BranchPredictorComplex(), listener=collector)
+    """Windowed IPC and mispredictions over one timing run (optionally
+    with an SSMT engine).
 
+    Each whole window is one span of the timing loop; a trailing partial
+    window is not timed.
+    """
+    model = OoOTimingModel(machine)
+    state = model.start(trace, BranchPredictorComplex(), engine)
+    result = state.result
     points: List[TimelinePoint] = []
-    prev_idx, prev_cycle = -1, 0
-    for idx, cycle in collector.boundaries:
-        instructions = idx - prev_idx
+    for lo in range(0, len(trace) - window + 1, window):
+        cycle, mispredicts = state.last_retire, result.effective_mispredicts
+        model.run_span(state, lo, lo + window)
         points.append(TimelinePoint(
-            start_idx=prev_idx + 1,
-            end_idx=idx,
-            cycles=max(1, cycle - prev_cycle),
-            instructions=instructions,
-            mispredicts=0,
+            start_idx=lo,
+            end_idx=lo + window - 1,
+            cycles=max(1, state.last_retire - cycle),
+            instructions=window,
+            mispredicts=result.effective_mispredicts - mispredicts,
         ))
-        prev_idx, prev_cycle = idx, cycle
     return points
 
 
 def speedup_timeline(
     trace: Trace,
-    make_listener,
+    make_engine: Callable[[], SSMTEngine],
     window: int = 20_000,
     machine: MachineConfig = TABLE3_BASELINE,
 ) -> List[Tuple[int, float]]:
-    """Per-window speed-up of a listener-equipped run over the baseline.
+    """Per-window speed-up of an engine-equipped run over the baseline.
 
-    ``make_listener`` is a zero-argument factory (a fresh engine per
+    ``make_engine`` is a zero-argument factory (a fresh engine per
     run).  Returns ``[(window_end_idx, speedup), ...]``.
     """
     base = ipc_timeline(trace, window, machine)
-    enhanced = ipc_timeline(trace, window, machine,
-                            listener=make_listener())
+    enhanced = ipc_timeline(trace, window, machine, make_engine())
     series: List[Tuple[int, float]] = []
     for b, e in zip(base, enhanced):
         series.append((b.end_idx, b.cycles / e.cycles))

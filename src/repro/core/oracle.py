@@ -7,8 +7,10 @@ training interval of 32, and a MicroRAM-sized bound on concurrently
 promoted paths) but idealized microthreads (always correct, always early,
 zero overhead).
 
-:class:`PotentialEngine` implements the same listener protocol as the
-full SSMT engine but swaps the microthread machinery for an oracle.
+:class:`PotentialEngine` is the full SSMT engine with the microthread
+machinery swapped for an oracle: the same path tracking and Path Cache
+training pick the difficult paths, and a prediction for a promoted path
+is always correct and always early.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.branch.unit import BranchPredictorComplex
-from repro.core.path import PathKey, PathTracker, DEFAULT_PATH_ID_BITS
-from repro.core.path_cache import PathCache, PathCacheConfig
+from repro.core.path import PathEvent, PathKey, DEFAULT_PATH_ID_BITS
+from repro.core.ssmt import SSMTConfig, SSMTEngine
 from repro.sim.trace import Trace
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel, PredictionEntry, TimingResult
+from repro.uarch.timing import PredictionEntry, TimingResult
 
 
 @dataclass
@@ -36,25 +38,27 @@ class PotentialConfig:
     promoted_capacity: int = 8192
 
 
-class PotentialEngine:
-    """Oracle predictions for promoted difficult paths; zero overhead."""
+class PotentialEngine(SSMTEngine):
+    """Oracle predictions for promoted difficult paths; zero overhead.
+
+    A bounded, LRU-stamped set of promoted paths replaces the builder
+    and MicroRAM, so no microthread is ever built or spawned.
+    """
 
     def __init__(self, config: Optional[PotentialConfig] = None):
-        self.config = config or PotentialConfig()
-        cfg = self.config
-        self.tracker = PathTracker(cfg.n, cfg.path_id_bits)
-        self.path_cache = PathCache(PathCacheConfig(
-            entries=cfg.path_cache_entries,
-            assoc=cfg.path_cache_assoc,
-            training_interval=cfg.training_interval,
+        self.potential = config or PotentialConfig()
+        cfg = self.potential
+        super().__init__(SSMTConfig(
+            n=cfg.n,
             difficulty_threshold=cfg.difficulty_threshold,
+            path_id_bits=cfg.path_id_bits,
+            path_cache_entries=cfg.path_cache_entries,
+            path_cache_assoc=cfg.path_cache_assoc,
+            training_interval=cfg.training_interval,
         ))
         self._promoted: Dict[PathKey, int] = {}
         self._stamp = 0
-        self._pending_mispredict: Dict[int, bool] = {}
         self.oracle_predictions = 0
-
-    # -- listener protocol ------------------------------------------------------
 
     def lookup_prediction(self, idx: int, rec,
                           fetch_cycle: int) -> Optional[PredictionEntry]:
@@ -67,36 +71,20 @@ class PotentialEngine:
         # Perfect and early: arrival before fetch.
         return PredictionEntry(rec.taken, rec.next_pc, arrival_cycle=0)
 
-    def on_control(self, idx: int, rec, outcome, fetch_cycle: int,
-                   resolve_cycle: int) -> None:
-        if rec.inst.is_path_terminating:
-            self._pending_mispredict[idx] = outcome.mispredicted
-
-    def on_retire(self, idx: int, rec, retire_cycle: int) -> None:
-        event = self.tracker.observe(rec, idx)
-        if event is None or event.partial:
-            return
-        mispredicted = self._pending_mispredict.pop(idx, False)
-        promotion = self.path_cache.update(event.key, event.path_id,
-                                           mispredicted)
-        if promotion is None:
-            return
-        if promotion.promote:
-            self._promote(event.key, event.path_id)
-        else:
-            self._promoted.pop(event.key, None)
-            self.path_cache.mark_promoted(event.key, event.path_id, False)
-
-    def _promote(self, key: PathKey, path_id: int) -> None:
-        if len(self._promoted) >= self.config.promoted_capacity:
+    def _promote(self, event: PathEvent, now_cycle: int) -> None:
+        if len(self._promoted) >= self.potential.promoted_capacity:
             victim = min(self._promoted, key=self._promoted.get)
             del self._promoted[victim]
             self.path_cache.mark_promoted(
-                victim, victim.path_id(self.config.path_id_bits), False
+                victim, victim.path_id(self.potential.path_id_bits), False
             )
         self._stamp += 1
-        self._promoted[key] = self._stamp
-        self.path_cache.mark_promoted(key, path_id, True)
+        self._promoted[event.key] = self._stamp
+        self.path_cache.mark_promoted(event.key, event.path_id, True)
+
+    def _demote(self, key: PathKey, path_id: int) -> None:
+        self._promoted.pop(key, None)
+        self.path_cache.mark_promoted(key, path_id, False)
 
     @property
     def promoted_count(self) -> int:
@@ -109,9 +97,14 @@ def run_potential(
     machine: MachineConfig = TABLE3_BASELINE,
     predictor: Optional[BranchPredictorComplex] = None,
 ) -> Tuple[TimingResult, PotentialEngine]:
-    """Figure 6 potential run: oracle difficult-path prediction."""
+    """Figure 6 potential run: oracle difficult-path prediction.
+
+    The import is deferred: :mod:`repro.kernel` imports this module.
+    """
+    from repro.kernel.batched import OoOTimingModel
+
     engine = PotentialEngine(config)
     model = OoOTimingModel(machine)
     predictor = predictor if predictor is not None else BranchPredictorComplex()
-    result = model.run(trace, predictor, listener=engine)
+    result = model.run(trace, predictor, engine)
     return result, engine

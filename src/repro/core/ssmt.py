@@ -1,7 +1,8 @@
 """The full SSMT difficult-path branch prediction engine (paper §4).
 
-:class:`SSMTEngine` implements the timing model's listener protocol and
-wires together every structure the paper describes:
+:class:`SSMTEngine` is the engine the timing loop drives (the hooks are
+listed in :mod:`repro.uarch.timing`) and wires together every structure
+the paper describes:
 
 * at **fetch** — spawn checks against the MicroRAM, pre-allocation path
   filtering, microcontext allocation, microthread functional execution
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.branch.unit import BranchOutcome, BranchPredictorComplex
+from repro.branch.unit import BranchPredictorComplex
 from repro.core.builder import BuilderConfig, MicrothreadBuilder
 from repro.core.events import EventLog
 from repro.core.microram import MicroRAM
@@ -46,10 +47,11 @@ from repro.core.prediction_cache import (
 from repro.core.spawn import ActiveMicrothread, SpawnManager
 from repro.sim.trace import DynamicInstruction, Trace
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel, PredictionEntry, TimingResult
+from repro.uarch.timing import PredictionEntry, TimingResult
 from repro.valuepred import AddressPredictor, PredictorTrainer, StridePredictor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.kernel.batched import OoOTimingModel
     from repro.telemetry.session import TelemetrySession
     from repro.verify.sanitizer import SimSanitizer
     from repro.verify.static import BuildVerifier
@@ -145,7 +147,7 @@ class SSMTConfig:
 
 
 class SSMTEngine:
-    """Listener implementing the complete mechanism; see module docstring."""
+    """The complete mechanism; see module docstring."""
 
     def __init__(self, config: Optional[SSMTConfig] = None,
                  initial_memory: Optional[Dict[int, int]] = None,
@@ -191,14 +193,7 @@ class SSMTEngine:
         self.throttled_paths = 0
         # repeated-violation rebuild policy state
         self._violation_counts: Dict[PathKey, int] = {}
-        # -- hot-path bindings -------------------------------------------
-        # ``on_retire``/``on_fetch`` run once per instruction; these
-        # bound methods avoid re-resolving two attribute hops per call.
-        # The subsystems are never reassigned after construction.
-        self._trainer_observe = self.trainer.observe
-        self._prb_insert = self.prb.insert
-        self._tracker_observe = self.tracker.observe
-        self._spawner_retire_past = self.spawner.retire_past
+        # bound once: ``on_fetch`` runs at every spawn-point fetch
         self._routines_at = self.microram.routines_at
         #: all observability hooks detached — the telemetry-off fast
         #: path through the retire loop skips their dispatch entirely
@@ -206,7 +201,7 @@ class SSMTEngine:
                        and telemetry is None)
         #: per-retire telemetry callable, bound once (see
         #: ``TelemetrySession.retire_hook`` for why the session's
-        #: pass-through ``on_retire`` is not on the hot path)
+        #: pass-through ``on_retire`` is not on the retire loop)
         self._telemetry_retire = (telemetry.retire_hook
                                   if telemetry is not None else None)
         #: per-terminating-branch observability callable, bound once
@@ -228,7 +223,7 @@ class SSMTEngine:
     def _address_predict(self, pc: int, ahead: int) -> Optional[int]:
         return self.trainer.address_predictor.predict(pc, ahead)
 
-    # -- listener protocol -------------------------------------------------------
+    # -- hooks the timing loop calls ---------------------------------------------
 
     def on_fetch(self, idx: int, rec: DynamicInstruction, fetch_cycle: int,
                  engine: OoOTimingModel) -> None:
@@ -266,16 +261,6 @@ class SSMTEngine:
         if self.telemetry is not None:
             self.telemetry.note_lookup(idx, entry.writer, fetch_cycle)
         return PredictionEntry(entry.taken, entry.target, entry.arrival_cycle)
-
-    def on_control(self, idx: int, rec: DynamicInstruction,
-                   outcome: BranchOutcome, fetch_cycle: int,
-                   resolve_cycle: int) -> None:
-        if rec.inst.is_path_terminating:
-            self._pending_mispredict[idx] = outcome.mispredicted
-            control_hook = self._telemetry_control
-            if control_hook is not None:
-                control_hook(self, idx, rec, outcome, fetch_cycle,
-                             resolve_cycle)
 
     def on_prediction_outcome(self, idx: int, rec: DynamicInstruction,
                               kind: str, used: bool, correct: bool,
@@ -320,60 +305,11 @@ class SSMTEngine:
                 self._demote(key, self._key_id(key))
             self._throttle_tallies[key] = [0, 0]
 
-    def on_retire(self, idx: int, rec: DynamicInstruction,
-                  retire_cycle: int) -> None:
-        inst = rec.inst
-        quiet = self._quiet  # all observability hooks detached
-
-        # Memory-dependence violation: a store hits an address a live
-        # microthread already read -> abort and rebuild (paper §4.2.4).
-        is_store = inst.is_store
-        if is_store and rec.ea is not None and self.spawner.active:
-            self._retire_store_violation(idx, rec, retire_cycle)
-
-        # Path_History deviation aborts (paper §4.3.2).  The SpawnManager
-        # emits the ``active_abort`` event itself.
-        if inst.is_control and rec.taken and self.spawner.active:
-            self._retire_taken_control(idx, rec, retire_cycle)
-
-        # Predictor training and PRB insertion (paper §4.2.2, §4.2.5).
-        # This happens before promotion handling so that, when the builder
-        # is invoked for this branch, the branch is the PRB's youngest
-        # entry ("as it just retired").
-        value_conf, addr_conf = self._trainer_observe(rec)
-        self._prb_insert(rec, idx, value_conf, addr_conf)
-
-        # Path Cache training and promotion/demotion (paper §4.1, §4.2.1).
-        event = self._tracker_observe(rec, idx)
-        if event is not None:
-            # Always consume the stashed outcome, including for partial
-            # (warm-up) events, so the stash cannot accumulate entries.
-            mispredicted = self._pending_mispredict.pop(idx, False)
-            if not event.partial:
-                self._retire_path_event(event, mispredicted, retire_cycle)
-
-        self._spawner_retire_past(idx, retire_cycle)
-
-        # Architectural state for microthread live-ins / memory view.
-        dest = inst.dest
-        if dest is not None:
-            self.reg_values[dest] = rec.result
-        if is_store and rec.ea is not None:
-            self.memory[rec.ea] = rec.result
-
-        if quiet:
-            return  # fast path: no sanitizer / telemetry dispatch
-        if self.sanitizer is not None:
-            self.sanitizer.on_retire(self, idx, rec)
-        telemetry_retire = self._telemetry_retire
-        if telemetry_retire is not None:
-            telemetry_retire(self, idx, retire_cycle)
-
-    # -- retire-loop rare paths (shared with the fused loop) ------------------
-    # These are the single source of truth for the retire loop's
-    # conditional blocks: ``on_retire`` above (the per-record path) and
-    # the fused loop in :mod:`repro.kernel.batched` both dispatch into
-    # them, so the two loops cannot drift apart behaviourally.
+    # -- retire-loop rare paths ----------------------------------------------
+    # The fused loop in :mod:`repro.kernel.batched` inlines the common
+    # retire work and dispatches its conditional blocks here, so engine
+    # variants such as :mod:`repro.core.static` override these rather
+    # than the loop.
 
     def _retire_store_violation(self, idx: int, rec: DynamicInstruction,
                                 retire_cycle: int) -> None:
@@ -422,7 +358,7 @@ class SSMTEngine:
             else:
                 self._demote(classify_key, classify_id)
 
-    # -- run lifecycle (timing-model listener extensions) ------------------------
+    # -- run lifecycle ----------------------------------------------------------
 
     def on_run_start(self, model: OoOTimingModel, trace: Trace) -> None:
         """Called by the timing model before its main loop."""
@@ -606,7 +542,7 @@ def run_ssmt(
     """Run the full SSMT machine over ``trace``; returns timing + engine.
 
     The run goes through the fused retire loop of
-    :class:`~repro.kernel.batched.BatchedOoOTimingModel`.  ``sample``
+    :class:`~repro.kernel.batched.OoOTimingModel`.  ``sample``
     takes a :class:`~repro.kernel.sampling.SampleSpec` to run sampled
     simulation (detailed windows + functional fast-forward) instead of
     the exact full run.  Both imports are deferred because
@@ -623,8 +559,8 @@ def run_ssmt(
         result = run_sampled(trace, predictor, sample, machine=machine,
                              engine=engine)
         return result, engine
-    from repro.kernel.batched import BatchedOoOTimingModel
+    from repro.kernel.batched import OoOTimingModel
 
-    model = BatchedOoOTimingModel(machine)
-    result = model.run(trace, predictor, listener=engine)
+    model = OoOTimingModel(machine)
+    result = model.run(trace, predictor, engine)
     return result, engine

@@ -28,12 +28,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.builder import MicrothreadBuilder
 from repro.core.microthread import Microthread
-from repro.core.path import PathKey, PathTracker
+from repro.core.path import PathEvent, PathKey, PathTracker
 from repro.core.prb import PostRetirementBuffer
 from repro.core.ssmt import SSMTConfig, SSMTEngine
 from repro.sim.trace import Trace
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel, TimingResult
+from repro.uarch.timing import TimingResult
 from repro.valuepred import PredictorTrainer
 
 
@@ -147,32 +147,18 @@ class StaticSSMTEngine(SSMTEngine):
         for thread in threads:
             self.microram.insert(thread)
 
-    def on_retire(self, idx: int, rec, retire_cycle: int) -> None:
-        inst = rec.inst
-        if inst.is_store:
-            for violated in self.spawner.on_store_retired(rec.ea, idx,
-                                                          retire_cycle):
-                self.prediction_cache.invalidate_writer(violated)
-                self.microram.remove(violated.thread.key)
-        if inst.is_control and rec.taken:
-            for aborted in self.spawner.on_taken_control(rec.pc, idx,
-                                                         retire_cycle):
-                if aborted.arrival_cycle > retire_cycle:
-                    self.prediction_cache.invalidate_writer(aborted)
-        self.tracker.observe(rec, idx)
-        # No Path Cache training in static mode, but the inherited
-        # on_control still stashes outcomes: consume them so the stash
-        # stays empty.
-        self._pending_mispredict.pop(idx, None)
-        self.spawner.retire_past(idx)
-        # Value/address predictors still train at run time: Vp/Ap
-        # micro-instructions query live predictor state.
-        self.trainer.observe(rec)
-        dest = inst.dest_reg()
-        if dest is not None:
-            self.reg_values[dest] = rec.result
-        if inst.is_store:
-            self.memory[rec.ea] = rec.result
+    def _retire_store_violation(self, idx: int, rec,
+                                retire_cycle: int) -> None:
+        """A violated routine is dropped: there is no builder to rebuild
+        it."""
+        for violated in self.spawner.on_store_retired(rec.ea, idx,
+                                                      retire_cycle):
+            self.prediction_cache.invalidate_writer(violated)
+            self.microram.remove(violated.thread.key)
+
+    def _retire_path_event(self, event: PathEvent, mispredicted: bool,
+                           retire_cycle: int) -> None:
+        """No Path Cache training: the MicroRAM image is fixed."""
 
 
 def run_profile_guided(
@@ -185,8 +171,12 @@ def run_profile_guided(
     """Profile, prebuild, then run the static engine over ``trace``.
 
     ``profile_trace`` allows profiling on a different (training) input,
-    as a compiler would; it defaults to ``trace`` itself.
+    as a compiler would; it defaults to ``trace`` itself.  The timing
+    model import is deferred because :mod:`repro.kernel` imports
+    :mod:`repro.core`.
     """
+    from repro.kernel.batched import OoOTimingModel
+
     config = config or SSMTConfig()
     source = profile_trace if profile_trace is not None else trace
     paths = profile_difficult_paths(source, n=config.n,
@@ -197,5 +187,5 @@ def run_profile_guided(
     engine = StaticSSMTEngine(threads, config,
                               initial_memory=trace.initial_memory)
     model = OoOTimingModel(machine)
-    result = model.run(trace, BranchPredictorComplex(), listener=engine)
+    result = model.run(trace, BranchPredictorComplex(), engine)
     return result, engine

@@ -1,44 +1,35 @@
-"""The fused retire loop.
+"""The timing model and its fused retire loop.
 
-:class:`BatchedOoOTimingModel` is a drop-in
-:class:`~repro.uarch.timing.OoOTimingModel` whose main loop consumes the
-predecoded columns of :mod:`repro.kernel.columns` instead of walking
-``rec.inst`` attributes, and which fuses the
-:class:`~repro.core.ssmt.SSMTEngine` retire work (predictor training,
-PRB insertion, path tracking, spawn checks) directly into the loop —
-eliminating the per-instruction listener dispatch that dominates the
-per-record loop's profile.
+:class:`OoOTimingModel` (contract: :mod:`repro.uarch.timing`) has one
+loop, :meth:`OoOTimingModel.run_span`.  It reads the predecoded columns
+of :mod:`repro.kernel.columns` instead of ``rec.inst`` attributes and
+inlines the engine's retire work (predictor training, PRB insertion,
+path tracking), so no instruction pays for a hook call; the rare blocks
+call the engine's ``_retire_*`` helpers.  Engine variants override
+engine methods, never the loop: :class:`~repro.core.static.
+StaticSSMTEngine` overrides two ``_retire_*`` helpers, and the loop
+skips training and PRB insertion for the oracle
+:class:`~repro.core.oracle.PotentialEngine`, which builds no
+microthreads.
 
-Bit-identity contract
----------------------
-The fused loop performs *exactly* the per-record sequence of
-operations per instruction, in the same order, against the same engine
-structures; the rare conditional blocks (store violations, Path_History
-aborts, path events) dispatch into the engine's shared ``_retire_*``
-helpers, which are also what ``SSMTEngine.on_retire`` runs.
-``tests/test_kernel.py`` pins the contract down with randomized
-property tests and task-key payload identity on the gcc/50k reference.
-
-The fusion only understands the stock engine surface, so
-:meth:`BatchedOoOTimingModel.run` is the one place a loop is chosen:
-the fused loop runs when the listener is ``None`` or exactly an
-:class:`SSMTEngine`.  Every other listener — the potential and
-profile-guided engines (which override ``on_retire``), the timeline
-collector, the pipeline recorder — runs the inherited per-record loop,
-so correctness never depends on the fast path recognising a caller.
-
-Hook costs when unused stay zero: telemetry/sanitizer dispatch sits
-behind the engine's precomputed ``_quiet`` flag exactly like the
-per-record path, and a quiet run performs no hook calls at all.
+:meth:`OoOTimingModel.start` opens a run whose :class:`_RunState`
+``run_span`` advances over any consecutive ranges: ``run`` is one span,
+while sampled simulation, the windowed timelines and the pipeline view
+use several.  The per-record loop this replaced is frozen as
+:class:`repro.perf.reference.ReferenceTimingModel`, and
+``tests/test_kernel.py`` holds the two bit-identical.  A quiet engine
+(no telemetry, sanitizer or event log) costs no hook calls at all.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.branch.unit import BranchPredictorComplex
+from repro.branch.unit import BranchOutcome, BranchPredictorComplex
+from repro.core.oracle import PotentialEngine
 from repro.core.prb import PRBEntry
 from repro.core.ssmt import SSMTEngine
+from repro.isa.instructions import Opcode
 from repro.valuepred.stride import StrideEntry
 from repro.kernel.columns import (
     HAS_DEST,
@@ -54,7 +45,9 @@ from repro.kernel.columns import (
     predecode,
 )
 from repro.sim.trace import Trace
-from repro.uarch.timing import OoOTimingModel, TimingResult
+from repro.uarch.caches import CacheHierarchy
+from repro.uarch.config import MachineConfig, TABLE3_BASELINE
+from repro.uarch.timing import TimingResult
 
 _M64 = (1 << 64) - 1
 _OP_LD = 40   # Opcode.LD
@@ -66,17 +59,20 @@ class _RunState:
     """Mutable fetch/retire cursor state of one (possibly windowed) run.
 
     The fused loop loads these into locals on entry and stores them back
-    on exit, which is what lets sampled simulation
-    (:mod:`repro.kernel.sampling`) alternate detailed spans and
-    fast-forward gaps over one persistent state.
+    on exit, which is what lets a run be split into spans over one
+    persistent state.  ``timing`` holds the last timed instruction's
+    ``(fetch, dispatch, issue, complete, retire)`` cycles.
     """
 
     __slots__ = ("fetch_cycle", "fetched_this_cycle", "taken_this_cycle",
                  "uops_this_cycle", "fetch_barrier", "retire_ring",
                  "last_retire", "retired_in_cycle", "last_store_complete",
-                 "prev_was_taken", "result")
+                 "prev_was_taken", "result", "columns", "predictor",
+                 "engine", "timing")
 
-    def __init__(self, window: int, result: TimingResult):
+    def __init__(self, window: int, result: TimingResult,
+                 columns: TraceColumns, predictor: BranchPredictorComplex,
+                 engine: Optional[SSMTEngine]):
         self.fetch_cycle = 0
         self.fetched_this_cycle = 0
         self.taken_this_cycle = 0
@@ -85,50 +81,99 @@ class _RunState:
         self.retire_ring: List[int] = [0] * window
         self.last_retire = 0
         self.retired_in_cycle = 0
-        self.last_store_complete = {}
+        self.last_store_complete: Dict[int, int] = {}
         self.prev_was_taken = False
         self.result = result
+        self.columns = columns
+        self.predictor = predictor
+        self.engine = engine
+        self.timing: Tuple[int, ...] = ()
 
 
-class BatchedOoOTimingModel(OoOTimingModel):
-    """Column-batched timing model; see module docstring."""
+class OoOTimingModel:
+    """One-pass timing model; see module docstring."""
 
-    def run(self, trace: Trace, predictor: BranchPredictorComplex,
-            listener=None) -> TimingResult:
-        if listener is not None and type(listener) is not SSMTEngine:
-            # Exact type: a subclass may override ``on_retire``, which
-            # the fused loop would silently skip.
-            return super().run(trace, predictor, listener)
-        columns = predecode(trace)
+    def __init__(self, config: MachineConfig = TABLE3_BASELINE):
+        self.config = config
+        self.caches = CacheHierarchy(config)
+        self._slot_used: Dict[int, int] = {}
+        self.reg_ready: List[int] = [0] * 32
+        self._frontend_debt = 0
+        #: the in-progress result of the current run (live view for
+        #: attached telemetry); the same object :meth:`run` returns
+        self.result: Optional[TimingResult] = None
+        #: the predictor of the current run (telemetry collector)
+        self.predictor: Optional[BranchPredictorComplex] = None
+
+    def add_frontend_debt(self, instructions: int) -> None:
+        """Charge microthread instructions against the shared decode/rename
+        bandwidth (SSMT microthreads are injected into the same 16-wide
+        rename pipeline as the primary thread).  Microthreads may claim at
+        most half the width per cycle, modelling the arbitration that lets
+        them use spare slots preferentially."""
+        self._frontend_debt += instructions
+
+    # -- services shared with the engine --------------------------------------
+
+    def alloc_issue_slot(self, earliest: int) -> int:
+        """Claim one of the ``issue_width`` shared slots at or after
+        ``earliest``; returns the cycle granted."""
+        width = self.config.issue_width
+        slots = self._slot_used
+        t = earliest
+        while slots.get(t, 0) >= width:
+            t += 1
+        slots[t] = slots.get(t, 0) + 1
+        return t
+
+    def op_latency(self, op: Opcode) -> int:
+        if op == Opcode.MUL:
+            return self.config.mul_latency
+        return self.config.int_latency
+
+    # -- runs --------------------------------------------------------------------
+
+    def start(self, trace: Trace, predictor: BranchPredictorComplex,
+              engine: Optional[SSMTEngine] = None) -> _RunState:
+        """Open a run of ``trace``: a fresh live result and cursor state,
+        which :meth:`run_span` then advances."""
         result = TimingResult(name=trace.name, cache=self.caches.stats)
         self.result = result
         self.predictor = predictor
-        state = _RunState(self.config.window_size, result)
-        if listener is not None:
-            listener.on_run_start(self, trace)
-        self.run_span(columns, predictor, listener, state, 0, columns.n)
-        result.instructions = columns.n
+        state = _RunState(self.config.window_size, result, predecode(trace),
+                          predictor, engine)
+        if engine is not None:
+            engine.on_run_start(self, trace)
+        return state
+
+    def run(self, trace: Trace, predictor: BranchPredictorComplex,
+            engine: Optional[SSMTEngine] = None) -> TimingResult:
+        """Time the whole trace as one span."""
+        state = self.start(trace, predictor, engine)
+        n = state.columns.n
+        self.run_span(state, 0, n)
+        result = state.result
+        result.instructions = n
         result.cycles = state.last_retire + 1
-        if listener is not None:
-            listener.on_run_end(result, self)
+        if engine is not None:
+            engine.on_run_end(result, self)
         return result
 
-    def run_span(self, columns: TraceColumns,
-                 predictor: BranchPredictorComplex,
-                 engine: Optional[SSMTEngine], state: _RunState,
-                 lo: int, hi: int) -> None:
+    def run_span(self, state: _RunState, lo: int, hi: int) -> None:
         """Run instructions ``[lo, hi)`` in full detail over ``state``.
 
         One fused pass: fetch bookkeeping, window dispatch, issue-slot
         allocation, control resolution and the engine's retire work,
-        all against the predecoded columns.  Mirrors
-        :meth:`OoOTimingModel.run` operation-for-operation.
+        all against the predecoded columns.
         """
         cfg = self.config
+        columns = state.columns
         (flags, pcs, ops, dests, src1s, src2s, nsrcs, imms, eas,
          results_col, next_pcs) = columns.lists()
         records = columns.records
         result = state.result
+        predictor = state.predictor
+        engine = state.engine
 
         # -- machine constants / shared services ---------------------------
         caches = self.caches
@@ -158,6 +203,9 @@ class BatchedOoOTimingModel(OoOTimingModel):
             engine_on_fetch = engine.on_fetch
             lookup_prediction = engine.lookup_prediction
             on_outcome = engine.on_prediction_outcome
+            # The oracle builds no microthreads: nothing reads the
+            # predictor confidences or the PRB it would fill.
+            trains = not isinstance(engine, PotentialEngine)
             trainer = engine.trainer
             # Stride-predictor tables, unpacked for the inlined
             # train/is_confident bodies below.
@@ -384,7 +432,7 @@ class BatchedOoOTimingModel(OoOTimingModel):
             if engine is None:
                 continue
 
-            # ---- fused SSMTEngine.on_retire ------------------------------
+            # ---- the engine's retire work ---------------------------------
             rec = records[idx]
             if f & IS_STORE:
                 if f & HAS_EA and spawner.active:
@@ -394,95 +442,96 @@ class BatchedOoOTimingModel(OoOTimingModel):
                 prb._next_pos = prb_next_pos
                 retire_taken_control(idx, rec, rc)
 
-            # Inlined PredictorTrainer.observe: the StridePredictor
-            # ``is_confident``/``train`` bodies, sharing one table probe
-            # (``tests/test_kernel.py`` pins the equivalence).
-            entry = vp_get(pc)
-            value_confident = (entry is not None
-                               and entry.confidence >= vp_threshold)
-            if f & HAS_DEST:
-                vp.trains += 1
-                value = results_col[idx]
-                if entry is None:
-                    if len(vp_entries) >= vp_capacity:
-                        del vp_entries[next(iter(vp_entries))]
-                    vp_entries[pc] = StrideEntry(value)
-                else:
-                    stride = (value - entry.last_value) & _M64
-                    if stride == entry.stride:
-                        if entry.confidence < vp_maxconf:
-                            entry.confidence += 1
+            if trains:
+                # Inlined PredictorTrainer.observe: the StridePredictor
+                # ``is_confident``/``train`` bodies, sharing one table probe
+                # (``tests/test_kernel.py`` pins the equivalence).
+                entry = vp_get(pc)
+                value_confident = (entry is not None
+                                   and entry.confidence >= vp_threshold)
+                if f & HAS_DEST:
+                    vp.trains += 1
+                    value = results_col[idx]
+                    if entry is None:
+                        if len(vp_entries) >= vp_capacity:
+                            del vp_entries[next(iter(vp_entries))]
+                        vp_entries[pc] = StrideEntry(value)
                     else:
-                        entry.stride = stride
-                        entry.confidence = 0
-                    entry.last_value = value
-            address_confident = False
-            is_load = f & IS_LOAD
-            if is_load:
-                ea = eas[idx]
-                entry = ap_get(pc)
-                address_confident = (entry is not None
-                                     and entry.confidence >= ap_threshold)
-                ap.trains += 1
-                base = (ea - imms[idx]) & _M64
-                if entry is None:
-                    if len(ap_entries) >= ap_capacity:
-                        del ap_entries[next(iter(ap_entries))]
-                    ap_entries[pc] = StrideEntry(base)
-                else:
-                    stride = (base - entry.last_value) & _M64
-                    if stride == entry.stride:
-                        if entry.confidence < ap_maxconf:
-                            entry.confidence += 1
+                        stride = (value - entry.last_value) & _M64
+                        if stride == entry.stride:
+                            if entry.confidence < vp_maxconf:
+                                entry.confidence += 1
+                        else:
+                            entry.stride = stride
+                            entry.confidence = 0
+                        entry.last_value = value
+                address_confident = False
+                is_load = f & IS_LOAD
+                if is_load:
+                    ea = eas[idx]
+                    entry = ap_get(pc)
+                    address_confident = (entry is not None
+                                         and entry.confidence >= ap_threshold)
+                    ap.trains += 1
+                    base = (ea - imms[idx]) & _M64
+                    if entry is None:
+                        if len(ap_entries) >= ap_capacity:
+                            del ap_entries[next(iter(ap_entries))]
+                        ap_entries[pc] = StrideEntry(base)
                     else:
-                        entry.stride = stride
-                        entry.confidence = 0
-                    entry.last_value = base
+                        stride = (base - entry.last_value) & _M64
+                        if stride == entry.stride:
+                            if entry.confidence < ap_maxconf:
+                                entry.confidence += 1
+                        else:
+                            entry.stride = stride
+                            entry.confidence = 0
+                        entry.last_value = base
 
-            # Inlined PostRetirementBuffer.insert_decoded.  The PRB
-            # cursor lives in ``prb_next_pos``; it is published to
-            # ``prb._next_pos`` before every call that can re-enter the
-            # engine (builder promotions read the PRB mid-loop) and at
-            # span end, not per instruction.
-            pos = prb_next_pos
-            prb_next_pos = pos + 1
-            floor = pos + 1 - prb_capacity
-            if nsrc == 0:
-                src_producers = ()
-            elif nsrc == 1:
-                p = prb_reg_get(src1s[idx])
-                src_producers = (
-                    p if p is not None and p >= floor else None,)
-            else:
-                p = prb_reg_get(src1s[idx])
-                q = prb_reg_get(src2s[idx])
-                src_producers = (
-                    p if p is not None and p >= floor else None,
-                    q if q is not None and q >= floor else None)
-            mem_producer = None
-            if is_load:
-                p = prb_mem_get(ea)
-                if p is not None and p >= floor:
-                    mem_producer = p
-            # ``PRBEntry.__new__`` + direct slot stores skips the
-            # per-instruction ``__init__`` frame.
-            entry = prb_entry_new(PRBEntry)
-            entry.rec = rec
-            entry.idx = idx
-            entry.pos = pos
-            entry.src_producers = src_producers
-            entry.mem_producer = mem_producer
-            entry.value_confident = value_confident
-            entry.address_confident = address_confident
-            prb_ring[pos % prb_capacity] = entry
-            dest = dests[idx]
-            if dest >= 0:
-                prb_reg_writer[dest] = pos
-            if f & IS_STORE:
-                prb_mem_writer[eas[idx]] = pos
-            if pos >= prb_sweep_at:
-                prb_sweep(floor)
-                prb_sweep_at = prb._sweep_at
+                # Inlined PostRetirementBuffer.insert_decoded.  The PRB
+                # cursor lives in ``prb_next_pos``; it is published to
+                # ``prb._next_pos`` before every call that can re-enter the
+                # engine (builder promotions read the PRB mid-loop) and at
+                # span end, not per instruction.
+                pos = prb_next_pos
+                prb_next_pos = pos + 1
+                floor = pos + 1 - prb_capacity
+                if nsrc == 0:
+                    src_producers = ()
+                elif nsrc == 1:
+                    p = prb_reg_get(src1s[idx])
+                    src_producers = (
+                        p if p is not None and p >= floor else None,)
+                else:
+                    p = prb_reg_get(src1s[idx])
+                    q = prb_reg_get(src2s[idx])
+                    src_producers = (
+                        p if p is not None and p >= floor else None,
+                        q if q is not None and q >= floor else None)
+                mem_producer = None
+                if is_load:
+                    p = prb_mem_get(ea)
+                    if p is not None and p >= floor:
+                        mem_producer = p
+                # ``PRBEntry.__new__`` + direct slot stores skips the
+                # per-instruction ``__init__`` frame.
+                entry = prb_entry_new(PRBEntry)
+                entry.rec = rec
+                entry.idx = idx
+                entry.pos = pos
+                entry.src_producers = src_producers
+                entry.mem_producer = mem_producer
+                entry.value_confident = value_confident
+                entry.address_confident = address_confident
+                prb_ring[pos % prb_capacity] = entry
+                dest = dests[idx]
+                if dest >= 0:
+                    prb_reg_writer[dest] = pos
+                if f & IS_STORE:
+                    prb_mem_writer[eas[idx]] = pos
+                if pos >= prb_sweep_at:
+                    prb_sweep(floor)
+                    prb_sweep_at = prb._sweep_at
 
             # Inlined PathTracker.observe + path-event handling.
             if f & IS_TERM:
@@ -522,6 +571,68 @@ class BatchedOoOTimingModel(OoOTimingModel):
         state.last_retire = last_retire
         state.retired_in_cycle = retired_in_cycle
         state.prev_was_taken = prev_was_taken
+        if hi > lo:
+            state.timing = (fetch_cycle, dispatch, issue, complete,
+                            last_retire)
         self._frontend_debt = frontend_debt
         if engine is not None:
             prb._next_pos = prb_next_pos
+
+    # -- control handling -------------------------------------------------------
+
+    def _resolve_control(self, idx, rec, outcome: BranchOutcome, fetch_cycle,
+                         resolve, result, lookup_prediction, on_outcome):
+        """Combine the hardware prediction with any microthread prediction.
+
+        Returns ``(effective_mispredict, recovery_cycle, btb_bubble)``.
+        """
+        inst = rec.inst
+        hw_mis = outcome.mispredicted
+        bubble = outcome.btb_miss and outcome.predicted_taken and not hw_mis
+
+        predictable = inst.is_path_terminating
+        entry = None
+        if predictable and lookup_prediction is not None:
+            entry = lookup_prediction(idx, rec, fetch_cycle)
+        if entry is None:
+            return hw_mis, resolve, bubble
+
+        if inst.is_conditional_branch:
+            ut_correct = entry.taken == rec.taken
+            disagrees = entry.taken != outcome.predicted_taken
+        else:  # indirect
+            ut_correct = entry.target == rec.next_pc
+            disagrees = entry.target != outcome.predicted_target
+
+        arrival = entry.arrival_cycle
+        if arrival <= fetch_cycle:
+            # Early: the microthread prediction replaces the hardware one.
+            kind = "early"
+            effective_mis = not ut_correct
+            recovery = resolve
+            bubble = False
+        elif arrival <= resolve:
+            # Late: only matters if it disagrees with the prediction in use
+            # (the machine assumes the microthread is more accurate).
+            if not disagrees:
+                kind = "late_agree"
+                effective_mis = hw_mis
+                recovery = resolve
+            elif ut_correct:
+                kind = "late_useful"
+                effective_mis = True  # flush happens, but earlier
+                recovery = arrival
+                result.early_recoveries += 1
+            else:
+                kind = "late_harmful"
+                effective_mis = True
+                recovery = resolve
+        else:
+            kind = "useless"
+            effective_mis = hw_mis
+            recovery = resolve
+
+        result.prediction_kinds[kind] = result.prediction_kinds.get(kind, 0) + 1
+        if on_outcome is not None:
+            on_outcome(idx, rec, kind, arrival <= fetch_cycle, ut_correct, hw_mis)
+        return effective_mis, recovery, bubble

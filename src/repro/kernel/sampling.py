@@ -37,7 +37,7 @@ from typing import Dict, Optional
 
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTEngine
-from repro.kernel.batched import BatchedOoOTimingModel, _RunState
+from repro.kernel.batched import OoOTimingModel, _RunState
 from repro.kernel.columns import (
     HAS_DEST,
     HAS_EA,
@@ -45,7 +45,6 @@ from repro.kernel.columns import (
     IS_LOAD,
     IS_STORE,
     IS_TAKEN,
-    predecode,
 )
 from repro.sim.trace import Trace
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
@@ -109,15 +108,10 @@ def run_sampled(trace: Trace, predictor: BranchPredictorComplex,
     :class:`SSMTEngine` samples the full mechanism (detailed windows
     drive it exactly like an exact run).
     """
-    model = BatchedOoOTimingModel(machine)
-    columns = predecode(trace)
-    n = columns.n
-    result = TimingResult(name=trace.name, cache=model.caches.stats)
-    model.result = result
-    model.predictor = predictor
-    state = _RunState(model.config.window_size, result)
-    if engine is not None:
-        engine.on_run_start(model, trace)
+    model = OoOTimingModel(machine)
+    state = model.start(trace, predictor, engine)
+    n = state.columns.n
+    result = state.result
 
     measured_instructions = 0
     measured_cycles = 0
@@ -129,13 +123,11 @@ def run_sampled(trace: Trace, predictor: BranchPredictorComplex,
         measure_end = min(measure_start + spec.measure, n)
         period_end = min(pos + spec.interval, n)
         if measure_start > pos:  # detailed warm-up (unmeasured)
-            model.run_span(columns, predictor, engine, state,
-                           pos, measure_start)
+            model.run_span(state, pos, measure_start)
         if measure_end > measure_start:
             before = _counter_snapshot(result)
             cycles_before = state.last_retire
-            model.run_span(columns, predictor, engine, state,
-                           measure_start, measure_end)
+            model.run_span(state, measure_start, measure_end)
             after = _counter_snapshot(result)
             measured_instructions += measure_end - measure_start
             measured_cycles += state.last_retire - cycles_before
@@ -144,8 +136,7 @@ def run_sampled(trace: Trace, predictor: BranchPredictorComplex,
                                     + value - before[key])
             windows += 1
         if period_end > measure_end:
-            _fast_forward(model, columns, predictor, engine, state,
-                          measure_end, period_end)
+            _fast_forward(model, state, measure_end, period_end)
         pos = period_end
 
     if measured_instructions in (0, n):
@@ -188,8 +179,7 @@ def run_sampled(trace: Trace, predictor: BranchPredictorComplex,
     return result
 
 
-def _fast_forward(model: BatchedOoOTimingModel, columns, predictor,
-                  engine: Optional[SSMTEngine], state: _RunState,
+def _fast_forward(model: OoOTimingModel, state: _RunState,
                   lo: int, hi: int) -> None:
     """Functionally execute ``[lo, hi)`` without timing.
 
@@ -203,13 +193,15 @@ def _fast_forward(model: BatchedOoOTimingModel, columns, predictor,
     """
     if hi <= lo:
         return
+    columns = state.columns
     (flags, pcs, ops, dests, src1s, src2s, nsrcs, imms, eas,
      results_col, next_pcs) = columns.lists()
     records = columns.records
     caches = model.caches
     load_latency = caches.load_latency
     cache_store = caches.store
-    predictor_process = predictor.process
+    predictor_process = state.predictor.process
+    engine = state.engine
     when = state.last_retire
     if engine is not None:
         tracker_append = engine.tracker._append

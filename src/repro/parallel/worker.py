@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 from repro.branch.unit import BranchPredictorComplex, oracle_complex
 from repro.core.oracle import run_potential
 from repro.core.ssmt import SSMTEngine, run_ssmt
-from repro.kernel import BatchedOoOTimingModel, run_sampled
+from repro.kernel import OoOTimingModel, run_sampled
 from repro.parallel.cache import POINT_SCHEMA
 from repro.parallel.taskkey import SweepTask
 from repro.uarch.timing import TimingResult
@@ -94,10 +94,10 @@ def run_task(task: SweepTask, telemetry: Optional[Any] = None,
             result = run_sampled(trace, _direction_complex(task),
                                  task.sample, machine=task.machine)
         else:
-            result = BatchedOoOTimingModel(task.machine).run(
+            result = OoOTimingModel(task.machine).run(
                 trace, _direction_complex(task))
     elif task.kind == "oracle":
-        result = BatchedOoOTimingModel(task.machine).run(
+        result = OoOTimingModel(task.machine).run(
             trace, oracle_complex())
     elif task.kind == "potential":
         result, _ = run_potential(trace, task.potential,

@@ -35,6 +35,7 @@ SUBSYSTEMS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("spawn", ("repro/core/spawn", "repro/core/prediction_cache")),
     ("ssmt_engine", ("repro/core/ssmt",)),
     ("timing_model", ("repro/uarch/",)),
+    ("kernel", ("repro/kernel/",)),                # the fused retire loop
     ("telemetry", ("repro/telemetry/",)),
     ("value_predictors", ("repro/valuepred/",)),
     ("functional_sim", ("repro/sim/",)),

@@ -36,7 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.spawn import ActiveMicrothread
     from repro.core.ssmt import SSMTEngine
     from repro.sim.trace import DynamicInstruction, Trace
-    from repro.uarch.timing import OoOTimingModel, TimingResult
+    from repro.kernel.batched import OoOTimingModel
+    from repro.uarch.timing import TimingResult
 
 
 class TelemetrySession:

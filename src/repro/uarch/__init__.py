@@ -12,16 +12,17 @@ cycle-accurate simulator, but the first-order effects this paper measures
 (misprediction penalties avoided or shortened, execution-bandwidth
 contention from microthreads, cache warming) are captured.
 
-SSMT integration happens through the listener protocol in
-:mod:`repro.uarch.timing`; :mod:`repro.core.ssmt` implements it.
+The model itself, :class:`repro.kernel.batched.OoOTimingModel`, lives
+with its fused retire loop in :mod:`repro.kernel`; the hooks it calls on
+an SSMT engine are listed in :mod:`repro.uarch.timing`.
 """
 
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
 from repro.uarch.caches import CacheHierarchy, CacheStats
-from repro.uarch.timing import OoOTimingModel, TimingResult, PredictionEntry
+from repro.uarch.timing import TimingResult, PredictionEntry
 from repro.uarch.pipeline_view import (
     InstructionTiming,
-    PipelineRecorder,
+    record_pipeline,
     render_pipeline,
     summarize_stalls,
 )
@@ -31,11 +32,10 @@ __all__ = [
     "TABLE3_BASELINE",
     "CacheHierarchy",
     "CacheStats",
-    "OoOTimingModel",
     "TimingResult",
     "PredictionEntry",
     "InstructionTiming",
-    "PipelineRecorder",
+    "record_pipeline",
     "render_pipeline",
     "summarize_stalls",
 ]

@@ -1,8 +1,8 @@
 """Pipeline timing capture and text rendering.
 
-:class:`PipelineRecorder` is a timing-model listener that captures each
-instruction's fetch/dispatch/issue/complete/retire cycles (via the
-``on_timed`` hook); :func:`render_pipeline` draws the classic pipeline
+:func:`record_pipeline` captures a window of instructions'
+fetch/dispatch/issue/complete/retire cycles from the timing loop;
+:func:`render_pipeline` draws the classic pipeline
 diagram — one row per instruction, one column per cycle — which makes
 misprediction bubbles, cache-miss stalls and window pressure visible at
 a glance.  Used by ``examples/pipeline_diagram.py`` and handy when
@@ -15,11 +15,14 @@ Stage letters: ``F`` fetch, ``D`` dispatch (rename done), ``I`` issue,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.branch.unit import BranchPredictorComplex
+from repro.sim.trace import Trace
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.core.ssmt import SSMTEngine
 
 
 @dataclass
@@ -35,51 +38,32 @@ class InstructionTiming:
     retire: int
 
 
-class PipelineRecorder:
-    """Listener capturing per-instruction pipeline timings.
-
-    ``start``/``count`` bound the recorded window so long runs do not
-    accumulate millions of rows.  Composable with another listener (e.g.
-    the SSMT engine) via ``chain``: all hooks of the chained listener
-    are forwarded.
-    """
-
-    def __init__(self, start: int = 0, count: int = 64, chain=None):
-        self.start = start
-        self.count = count
-        self.records: List[InstructionTiming] = []
-        self._chain = chain
-        # forward the chained listener's other hooks, if present
-        if chain is not None:
-            for hook in ("on_fetch", "lookup_prediction", "on_control",
-                         "on_prediction_outcome"):
-                target = getattr(chain, hook, None)
-                if target is not None:
-                    setattr(self, hook, target)
-
-    def on_retire(self, idx, rec, retire_cycle):
-        chained = getattr(self._chain, "on_retire", None)
-        if chained is not None:
-            chained(idx, rec, retire_cycle)
-
-    def on_timed(self, idx, rec, fetch, dispatch, issue, complete, retire):
-        if self.start <= idx < self.start + self.count:
-            self.records.append(InstructionTiming(
-                idx, rec.inst.disassemble(), fetch, dispatch, issue,
-                complete, retire))
-        chained = getattr(self._chain, "on_timed", None)
-        if chained is not None:
-            chained(idx, rec, fetch, dispatch, issue, complete, retire)
-
-
-def record_pipeline(trace, start: int, count: int, engine=None,
+def record_pipeline(trace: Trace, start: int, count: int,
+                    engine: Optional[SSMTEngine] = None,
                     machine: MachineConfig = TABLE3_BASELINE,
                     ) -> List[InstructionTiming]:
-    """Pipeline timings of instructions ``[start, start + count)``."""
-    recorder = PipelineRecorder(start=start, count=count, chain=engine)
-    OoOTimingModel(machine).run(trace, BranchPredictorComplex(),
-                                listener=recorder)
-    return recorder.records
+    """Pipeline timings of instructions ``[start, start + count)``.
+
+    Times everything before ``start`` as one span of the timing loop,
+    then each recorded instruction as a span of its own, reading its
+    stage cycles from the run state.  Nothing after the window is
+    timed.  The timing model import is deferred because
+    :mod:`repro.kernel` imports :mod:`repro.core`, which imports this
+    package.
+    """
+    from repro.kernel.batched import OoOTimingModel
+
+    model = OoOTimingModel(machine)
+    state = model.start(trace, BranchPredictorComplex(), engine)
+    n = state.columns.n
+    model.run_span(state, 0, min(start, n))
+    records = state.columns.records
+    rows: List[InstructionTiming] = []
+    for idx in range(start, min(start + count, n)):
+        model.run_span(state, idx, idx + 1)
+        rows.append(InstructionTiming(
+            idx, records[idx].inst.disassemble(), *state.timing))
+    return rows
 
 
 def render_pipeline(records: Sequence[InstructionTiming],

@@ -6,7 +6,7 @@ from repro.branch.unit import BranchPredictorComplex
 from repro.core.oracle import PotentialConfig, run_potential
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
-from repro.uarch.timing import OoOTimingModel
+from repro.kernel import OoOTimingModel
 
 HARD_LOOP = """
 .data arr 64 57 3 91 22 68 14 77 41 5 99 33 60 12 84 29 50 73 8 66 95 17 38 55 81 26 62 44 70 11 88 35 58 2 92 20 65 16 79 40 6 97 31 59 13 86 28 52 74 9 67 94 18 39 56 80 27 63 45 71 10 89 36 53 24

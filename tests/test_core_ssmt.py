@@ -6,7 +6,7 @@ from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
-from repro.uarch.timing import OoOTimingModel
+from repro.kernel import OoOTimingModel
 
 # A loop with a data-dependent branch whose predicate is fully computable
 # from in-scope instructions: prime microthread territory.
@@ -175,7 +175,7 @@ class TestEngineStateTracking:
         engine = SSMTEngine(fast_config(),
                             initial_memory=data_trace.initial_memory)
         OoOTimingModel().run(data_trace, BranchPredictorComplex(),
-                             listener=engine)
+                             engine)
         # r2 holds the loop bound 4000 throughout
         assert engine.reg_values[2] == 4000
 
@@ -185,7 +185,7 @@ class TestEngineStateTracking:
         engine = SSMTEngine(fast_config(),
                             initial_memory=trace.initial_memory)
         OoOTimingModel().run(trace, BranchPredictorComplex(),
-                             listener=engine)
+                             engine)
         stores = [r for r in trace if r.inst.is_store]
         last = stores[-1]
         assert engine.memory[last.ea] == last.result

@@ -7,7 +7,7 @@ from repro.core.events import Event, EventLog
 from repro.core.ssmt import SSMTConfig, SSMTEngine
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
-from repro.uarch.timing import OoOTimingModel
+from repro.kernel import OoOTimingModel
 
 DATA_LOOP = """
 .data arr 64 57 3 91 22 68 14 77 41 5 99 33 60 12 84 29 50 73 8 66 95 17 38 55 81 26 62 44 70 11 88 35 58 2 92 20 65 16 79 40 6 97 31 59 13 86 28 52 74 9 67 94 18 39 56 80 27 63 45 71 10 89 36 53 24
@@ -40,7 +40,7 @@ def run_with_log(log=None, n=30_000):
                                    build_latency=20),
                         initial_memory=trace.initial_memory,
                         event_log=log)
-    OoOTimingModel().run(trace, BranchPredictorComplex(), listener=engine)
+    OoOTimingModel().run(trace, BranchPredictorComplex(), engine)
     return log, engine
 
 
@@ -147,7 +147,7 @@ class TestEngineIntegration:
         engine = SSMTEngine(SSMTConfig(n=4, training_interval=8),
                             initial_memory=trace.initial_memory)
         OoOTimingModel().run(trace, BranchPredictorComplex(),
-                             listener=engine)
+                             engine)
         assert engine.event_log is None
 
 

@@ -4,12 +4,10 @@ The contract under test (``repro.kernel``):
 
 * predecode: the struct-of-arrays columns agree with the per-record
   attribute walk,
-* fused == per-record: :class:`BatchedOoOTimingModel` is
-  *bit-identical* to the per-record loop of :class:`OoOTimingModel`
-  (the oracle), both at the ``TimingResult``/engine-report level and
-  at the worker-payload level, for the dynamic engine and for the
-  profile-guided engine (which must take the per-record loop because it
-  overrides ``on_retire``),
+* fused == per-record: :class:`OoOTimingModel` is *bit-identical* to
+  the frozen per-record loop of :class:`ReferenceTimingModel` (the
+  oracle), both at the ``TimingResult``/engine-report level and at the
+  worker-payload level,
 * PRB ``insert_decoded`` == ``insert`` (the decoded-column fast path),
 * sampled simulation: marked, key-distinct, within the documented error
   bound, and exact for a degenerate spec.
@@ -24,12 +22,7 @@ from hypothesis import strategies as st
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.prb import PostRetirementBuffer
 from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
-from repro.core.static import (
-    StaticSSMTEngine,
-    prebuild_microthreads,
-    profile_difficult_paths,
-)
-from repro.kernel import BatchedOoOTimingModel, SampleSpec, predecode
+from repro.kernel import OoOTimingModel, SampleSpec, predecode
 from repro.kernel.columns import (
     HAS_DEST,
     HAS_EA,
@@ -42,7 +35,7 @@ from repro.kernel.columns import (
 )
 from repro.parallel.taskkey import SweepTask
 from repro.parallel.worker import engine_metrics, run_task
-from repro.uarch.timing import OoOTimingModel
+from repro.perf.reference import ReferenceTimingModel
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace
 
 
@@ -96,28 +89,10 @@ def ssmt_pair(name, n, config=None):
     """(per-record, fused) outcomes of the dynamic engine."""
     trace = benchmark_trace(name, n)
     engine = SSMTEngine(config, initial_memory=trace.initial_memory)
-    result = OoOTimingModel().run(trace, BranchPredictorComplex(),
-                                  listener=engine)
+    result = ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                        engine)
     fused = run_ssmt(trace, config, predictor=BranchPredictorComplex())
     return observed(result, engine), observed(*fused)
-
-
-def static_pair(name, n):
-    """(per-record, batched-model) outcomes of the profile-guided
-    engine; the microthreads are prebuilt afresh for each run."""
-    trace = benchmark_trace(name, n)
-    config = SSMTConfig()
-    paths = profile_difficult_paths(
-        trace, n=config.n, threshold=config.difficulty_threshold)
-    out = []
-    for model in (OoOTimingModel(), BatchedOoOTimingModel()):
-        engine = StaticSSMTEngine(
-            prebuild_microthreads(trace, paths, config), config,
-            initial_memory=trace.initial_memory)
-        result = model.run(trace, BranchPredictorComplex(),
-                           listener=engine)
-        out.append(observed(result, engine))
-    return out
 
 
 class TestBatchedBitIdentity:
@@ -126,18 +101,10 @@ class TestBatchedBitIdentity:
         scalar, fused = ssmt_pair(name, 30_000)
         assert fused == scalar
 
-    @pytest.mark.parametrize("name", sorted(BENCHMARK_NAMES))
-    def test_static_engine_takes_the_per_record_loop(self, name):
-        """``StaticSSMTEngine`` overrides ``on_retire``; the batched
-        model must not fuse it away."""
-        scalar, batched = static_pair(name, 10_000)
-        assert batched == scalar
-
     def test_baseline_identical(self):
         trace = benchmark_trace("gcc", 20_000)
-        scalar = OoOTimingModel().run(trace, BranchPredictorComplex())
-        batched = BatchedOoOTimingModel().run(
-            trace, BranchPredictorComplex())
+        scalar = ReferenceTimingModel().run(trace, BranchPredictorComplex())
+        batched = OoOTimingModel().run(trace, BranchPredictorComplex())
         assert batched.as_dict() == scalar.as_dict()
 
     @given(name=st.sampled_from(sorted(BENCHMARK_NAMES)),
@@ -156,33 +123,14 @@ class TestBatchedBitIdentity:
         fused_payload = run_task(task)
         trace = benchmark_trace("gcc", 50_000)
         engine = SSMTEngine(task.config, initial_memory=trace.initial_memory)
-        result = OoOTimingModel(task.machine).run(
-            trace, BranchPredictorComplex(), listener=engine)
+        result = ReferenceTimingModel(task.machine).run(
+            trace, BranchPredictorComplex(), engine)
         scalar = json.loads(json.dumps(
             {"timing": result.as_dict(), "metrics": engine_metrics(engine)},
             sort_keys=True))
         assert json.dumps(scalar, sort_keys=True) == json.dumps(
             {"timing": fused_payload["timing"],
              "metrics": fused_payload["metrics"]}, sort_keys=True)
-
-    def test_unknown_listener_falls_back_to_scalar(self):
-        """A listener outside the fused engine surface still works — the
-        batched model must defer to the inherited scalar loop."""
-
-        class CountingListener:
-            def __init__(self):
-                self.retired = 0
-
-            def on_retire(self, idx, rec, cycle):
-                self.retired += 1
-
-        trace = benchmark_trace("gcc", 3000)
-        listener = CountingListener()
-        scalar = OoOTimingModel().run(trace, BranchPredictorComplex())
-        batched = BatchedOoOTimingModel().run(
-            trace, BranchPredictorComplex(), listener)
-        assert listener.retired == 3000
-        assert batched.as_dict() == scalar.as_dict()
 
 
 class TestInsertDecoded:

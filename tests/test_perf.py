@@ -167,6 +167,7 @@ def test_classify_buckets_by_module_path():
     assert classify("~") == "other"
     assert classify("C:\\x\\repro\\uarch\\timing.py".replace("\\", "/")) \
         == "timing_model"
+    assert classify("/x/src/repro/kernel/batched.py") == "kernel"
 
 
 def test_profile_harness_emits_repro_perf_artifact(tmp_path):

@@ -1,16 +1,14 @@
 """Tests for pipeline timing capture and rendering."""
 
 
-from repro.branch.unit import BranchPredictorComplex
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
 from repro.uarch.pipeline_view import (
     InstructionTiming,
-    PipelineRecorder,
+    record_pipeline,
     render_pipeline,
     summarize_stalls,
 )
-from repro.uarch.timing import OoOTimingModel
 
 SOURCE = """
     li r1, 0
@@ -23,68 +21,42 @@ loop:
 """
 
 
-def record(start=0, count=16, chain=None, source=SOURCE):
+def record(start=0, count=16, source=SOURCE):
     trace = run_program(assemble(source), max_instructions=2_000)
-    recorder = PipelineRecorder(start=start, count=count, chain=chain)
-    OoOTimingModel().run(trace, BranchPredictorComplex(), listener=recorder)
-    return recorder
+    return record_pipeline(trace, start, count)
 
 
 class TestRecorder:
     def test_window_respected(self):
-        recorder = record(start=10, count=5)
-        assert [r.idx for r in recorder.records] == list(range(10, 15))
+        records = record(start=10, count=5)
+        assert [r.idx for r in records] == list(range(10, 15))
+
+    def test_window_clipped_at_trace_end(self):
+        trace = run_program(assemble(SOURCE), max_instructions=2_000)
+        n = len(trace)
+        assert [r.idx for r in record_pipeline(trace, n - 2, 5)] \
+            == [n - 2, n - 1]
+        assert record_pipeline(trace, n + 10, 5) == []
 
     def test_stage_monotonicity(self):
-        recorder = record(count=40)
-        for r in recorder.records:
+        for r in record(count=40):
             assert r.fetch <= r.dispatch <= r.issue <= r.complete <= r.retire
 
     def test_frontend_depth_respected(self):
         from repro.uarch.config import TABLE3_BASELINE
 
-        recorder = record(count=40)
-        for r in recorder.records:
+        for r in record(count=40):
             assert r.dispatch - r.fetch >= TABLE3_BASELINE.frontend_depth
-
-    def test_chain_forwards_on_retire(self):
-        class Sink:
-            def __init__(self):
-                self.retired = []
-
-            def on_retire(self, idx, rec, cycle):
-                self.retired.append(idx)
-
-        sink = Sink()
-        record(count=5, chain=sink)
-        assert len(sink.retired) > 100  # every retired instruction
-
-    def test_chain_forwards_ssmt_hooks(self):
-        class Fancy:
-            def __init__(self):
-                self.fetches = 0
-
-            def on_fetch(self, idx, rec, cycle, engine):
-                self.fetches += 1
-
-        fancy = Fancy()
-        recorder = PipelineRecorder(chain=fancy)
-        # bound-method equality (fresh bound objects are never identical)
-        assert recorder.on_fetch == fancy.on_fetch
-        recorder.on_fetch(0, None, 0, None)
-        assert fancy.fetches == 1
 
 
 class TestRendering:
     def test_diagram_contains_stage_letters(self):
-        recorder = record(count=8)
-        text = render_pipeline(recorder.records)
+        text = render_pipeline(record(count=8))
         for letter in "FDICR"[:3]:
             assert letter in text
 
     def test_rows_match_records(self):
-        recorder = record(count=8)
-        text = render_pipeline(recorder.records)
+        text = render_pipeline(record(count=8))
         assert len(text.splitlines()) == 9  # header + 8 rows
 
     def test_empty_records(self):
@@ -97,8 +69,7 @@ class TestRendering:
 
 class TestStallSummary:
     def test_gaps_nonnegative(self):
-        recorder = record(count=30)
-        summary = summarize_stalls(recorder.records)
+        summary = summarize_stalls(record(count=30))
         assert all(v >= 0 for v in summary.values())
         assert summary["fetch_to_dispatch"] >= 8  # frontend depth
 

@@ -6,7 +6,7 @@ from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
-from repro.uarch.timing import OoOTimingModel
+from repro.kernel import OoOTimingModel
 
 # Phase-change program: the branch is data-driven (difficult) for the
 # first phase, then the selector makes it constant (easy).  Difficult
@@ -123,5 +123,5 @@ class TestEngineIsolation:
         trace = run_program(assemble(PHASED), max_instructions=30_000)
         engine = SSMTEngine(small_config())  # no initial_memory
         result = OoOTimingModel().run(trace, BranchPredictorComplex(),
-                                      listener=engine)
+                                      engine)
         assert result.instructions == len(trace)

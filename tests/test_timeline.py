@@ -54,6 +54,16 @@ class TestIPCTimeline:
         full = baseline_run(trace)
         assert abs(sum(p.cycles for p in points) - full.cycles) < 50
 
+    def test_window_mispredicts_sum_to_full_run(self, trace):
+        from repro.analysis.experiments import baseline_run
+
+        points = ipc_timeline(trace, window=10_000)
+        assert len(trace) == 6 * 10_000
+        full = baseline_run(trace)
+        assert full.effective_mispredicts > 0
+        assert sum(p.mispredicts for p in points) \
+            == full.effective_mispredicts
+
     def test_ipc_positive(self, trace):
         for p in ipc_timeline(trace, window=20_000):
             assert 0.1 < p.ipc < 16.0

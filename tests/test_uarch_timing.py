@@ -5,7 +5,9 @@ from repro.branch.unit import BranchPredictorComplex, oracle_complex
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
 from repro.uarch.config import TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel, PredictionEntry
+from repro.kernel import OoOTimingModel
+from repro.perf.reference import ReferenceTimingModel
+from repro.uarch.timing import PredictionEntry
 
 
 def trace_of(source, n=20_000):
@@ -14,10 +16,13 @@ def trace_of(source, n=20_000):
 
 def run_timing(source, config=TABLE3_BASELINE, n=20_000, predictor=None,
                listener=None):
+    """Time ``source``; a hand-written ``listener`` drives the per-record
+    reference loop, which shares the model's services (control
+    resolution, issue slots, frontend debt) with the fused loop."""
     trace = trace_of(source, n)
-    model = OoOTimingModel(config)
+    model = (OoOTimingModel if listener is None else ReferenceTimingModel)
     predictor = predictor or BranchPredictorComplex()
-    return model.run(trace, predictor, listener=listener)
+    return model(config).run(trace, predictor, listener)
 
 
 STRAIGHT_LINE = "\n".join(f"li r{1 + (i % 8)}, {i}" for i in range(64)) + "\nhalt"
@@ -264,8 +269,8 @@ class TestFrontendDebt:
                 engine.add_frontend_debt(self.amount)
 
         plain = OoOTimingModel().run(trace, BranchPredictorComplex())
-        loaded = OoOTimingModel().run(trace, BranchPredictorComplex(),
-                                      listener=Debtor(8))
+        loaded = ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                            Debtor(8))
         assert loaded.cycles > plain.cycles
 
 

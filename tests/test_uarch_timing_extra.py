@@ -6,13 +6,17 @@ from repro.branch.unit import BranchPredictorComplex
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
 from repro.uarch.config import TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel
+from repro.kernel import OoOTimingModel
+from repro.perf.reference import ReferenceTimingModel
 
 
 def run_timing(source, config=TABLE3_BASELINE, n=20_000, listener=None):
+    """Time ``source``; a hand-written ``listener`` drives the per-record
+    reference loop, which shares the model's services with the fused
+    loop."""
     trace = run_program(assemble(source), max_instructions=n)
-    return OoOTimingModel(config).run(trace, BranchPredictorComplex(),
-                                      listener=listener)
+    model = (OoOTimingModel if listener is None else ReferenceTimingModel)
+    return model(config).run(trace, BranchPredictorComplex(), listener)
 
 
 INDEPENDENT = "\n".join(f"li r{1 + (i % 8)}, {i}" for i in range(256)) + "\nhalt"
