@@ -5,14 +5,18 @@ result payloads are the cached artifact, so both must stay byte-stable
 across refactors that claim to change no simulation.  This module pins
 literal keys and payload digests for one point of every task shape:
 the four kinds on gcc/2000, a predictor-zoo point, a sampled point and
-a scaled-width point.
+a scaled-width point, plus one digest over the baseline and SSMT keys
+of every suite benchmark (each key hashes its benchmark's whole
+``WorkloadSpec``).
 
 A change that moves any literal here either changes simulator semantics
 (bump ``CODE_SCHEMA_VERSION`` and re-pin) or is a bug.
 """
 
+import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.kernel.sampling import SampleSpec
 from repro.parallel.sweep import build_grid
 from repro.parallel.taskkey import SweepTask
 from repro.parallel.worker import run_task
+from repro.workloads import BENCHMARK_NAMES
 
 
 def _widths_point() -> SweepTask:
@@ -67,6 +72,11 @@ PINNED = {
             "5cf743bb8744c84ce429011c3f5072b51afaf209ff86e45049015849905700fb"),
 }
 
+#: SHA-256 over the newline-joined ``baseline`` and ``ssmt`` keys of all
+#: 20 suite benchmarks at 2000 instructions, in suite order.
+SUITE_KEYS_DIGEST = (
+    "c9e9862d634e240453ee19483618f712f6f66ce2b7ba08720be91f709e96bf3e")
+
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_task_key_pinned(name):
@@ -79,3 +89,41 @@ def test_payload_digest_pinned(name):
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == PINNED[name][1]
+
+
+def test_suite_keys_digest_pinned():
+    keys = [SweepTask(kind=kind, benchmark=name, instructions=2000).key
+            for name in BENCHMARK_NAMES for kind in ("baseline", "ssmt")]
+    assert len(set(keys)) == 40
+    digest = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+    assert digest == SUITE_KEYS_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_key_survives_pickling(name):
+    """Process-pool workers receive tasks pickled; the key must not move."""
+    task = CORPUS[name]()
+    clone = pickle.loads(pickle.dumps(task))
+    assert clone == task
+    assert clone.key == task.key == PINNED[name][0]
+
+
+def test_replace_gets_a_fresh_key():
+    task = CORPUS["ssmt"]()
+    longer = dataclasses.replace(task, instructions=4000)
+    assert longer.key != task.key
+    assert longer.key == SweepTask(kind="ssmt", benchmark="gcc",
+                                   instructions=4000).key
+    assert dataclasses.replace(task).key == task.key
+
+
+def test_equality_and_hash_follow_the_fields():
+    """Tasks compare and hash by their fields alone.  The label is left
+    out of the key but not out of equality."""
+    a, b = CORPUS["baseline"](), CORPUS["baseline"]()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    relabelled = dataclasses.replace(a, label="other")
+    assert relabelled.key == a.key
+    assert relabelled != a
+    assert CORPUS["ssmt"]() == CORPUS["ssmt"]()
