@@ -36,7 +36,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core.oracle import PotentialConfig
@@ -112,6 +112,9 @@ class SweepTask:
     #: IS part of the key — sampled results are extrapolations, never
     #: interchangeable with exact ones
     sample: Optional[Any] = None
+    #: the task key, computed once in ``__post_init__``; a task is a
+    #: value, so it never goes stale (see :attr:`key`)
+    _key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in TASK_KINDS:
@@ -144,6 +147,7 @@ class SweepTask:
                                  "instance (or None for the paper hybrid)")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
+        object.__setattr__(self, "_key", task_key(self))
 
     def identity(self) -> Dict[str, Any]:
         """Everything that determines the simulation outcome."""
@@ -164,11 +168,21 @@ class SweepTask:
 
     @property
     def key(self) -> str:
-        """The stable task key (SHA-256 hex of the canonical identity)."""
-        return task_key(self)
+        """The stable task key (SHA-256 hex of the canonical identity).
+
+        Fixed when the task is constructed: derive variants with
+        :func:`dataclasses.replace`, which builds (and keys) a new task,
+        and never mutate a config object after handing it to a task.
+        """
+        return self._key
 
 
 def task_key(task: SweepTask) -> str:
-    """Compute a :class:`SweepTask`'s deterministic cache key."""
-    blob = canonical_json(task.identity()).encode("utf-8")
+    """Compute a :class:`SweepTask`'s deterministic cache key.
+
+    :meth:`SweepTask.identity` is already JSON-typed, so it is rendered
+    in one pass — the same bytes :func:`canonical_json` would produce.
+    """
+    blob = json.dumps(task.identity(), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

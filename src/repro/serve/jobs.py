@@ -34,9 +34,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.schemas import schema_string
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.parallel.taskkey import SweepTask
 
 #: Schema marker carried by the journal's header line.
 JOB_SCHEMA = schema_string("repro.serve.job", 1)
@@ -60,6 +63,10 @@ class Job:
     state: str = "running"
     task_states: Dict[str, str] = field(default_factory=dict)
     failures: Dict[str, str] = field(default_factory=dict)  # key -> reason
+    #: the spec expanded into tasks, grid order; in memory only (never
+    #: journaled), filled by the service at submit or on first use
+    tasks: Optional[List["SweepTask"]] = field(default=None, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         for key in self.task_keys:

@@ -197,17 +197,19 @@ class SweepService:
 
         spec = normalise_spec(payload,
                               max_instructions=self.config.max_instructions)
-        tasks = spec_tasks(spec)
-        keys: List[str] = []
-        seen = set()
-        for task in tasks:
-            if task.key not in seen:
-                seen.add(task.key)
-                keys.append(task.key)
         job_id = spec_job_id(spec)
+        with self._lock:
+            known = self.queue.get(job_id)
+        # A resubmitted grid reuses its job's expansion.
+        tasks = known.tasks if known is not None else None
+        if tasks is None:
+            tasks = spec_tasks(spec)
+        keys = list(dict.fromkeys(task.key for task in tasks))
 
         with self._lock:
             job, created = self.queue.submit(job_id, tenant, spec, keys)
+            if job.tasks is None:
+                job.tasks = tasks
             if job.state == "running" and job.pending_keys():
                 self.scheduler.enqueue(job.tenant, job_id)
         if created:
@@ -242,7 +244,7 @@ class SweepService:
             return None
         if job.state == "running":
             raise JobNotSettledError(job_id, job.counts())
-        tasks = spec_tasks(job.spec)
+        tasks = self._tasks(job)
         results: List[Optional[Dict[str, Any]]] = []
         for task in tasks:
             payload = self._peek(task.key)
@@ -272,6 +274,15 @@ class SweepService:
             "shards_run": self.shards_run,
         }
 
+    def _tasks(self, job: Job) -> List[SweepTask]:
+        """The job's grid as tasks, expanded once per process: at
+        submit, or on first use of a job replayed from the journal
+        (which stores only the spec and keys).  Concurrent first uses
+        may both expand; they build equal lists."""
+        if job.tasks is None:
+            job.tasks = spec_tasks(job.spec)
+        return job.tasks
+
     def _peek(self, key: str) -> Optional[Dict[str, Any]]:
         """Read a payload without perturbing the store's hit/miss
         counters — API reads are not cache traffic, and the loadtest
@@ -296,7 +307,7 @@ class SweepService:
             return True
 
         by_key: Dict[str, SweepTask] = {}
-        for task in spec_tasks(job.spec):
+        for task in self._tasks(job):
             by_key.setdefault(task.key, task)
         shard = [by_key[key] for key in shard_keys]
 

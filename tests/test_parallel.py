@@ -142,9 +142,11 @@ class TestSchemaVersionMigration:
 
         task = t()
         current_key = task.key
+        # A task's key is fixed at construction, so the old-version task
+        # is built while the old version is in force.
         monkeypatch.setattr(taskkey_mod, "CODE_SCHEMA_VERSION",
                             CODE_SCHEMA_VERSION - 1)
-        old_key = task.key
+        old_key = t().key
         monkeypatch.undo()
         assert old_key != current_key
         assert task.key == current_key

@@ -267,6 +267,39 @@ def test_submit_run_result_byte_identical(tmp_path):
             canonical_json(local[section])
 
 
+def test_served_grid_hashes_each_task_once(tmp_path, monkeypatch):
+    """Keys are computed once per task: a served grid of N unique tasks
+    costs N ``task_key`` calls from submit to result, and re-reading the
+    result or re-running built tasks costs none."""
+    import repro.parallel.taskkey as taskkey
+
+    calls = []
+    real_task_key = taskkey.task_key
+
+    def counting_task_key(task):
+        calls.append(task)
+        return real_task_key(task)
+
+    monkeypatch.setattr(taskkey, "task_key", counting_task_key)
+    grid = {"benchmarks": ["comp", "gcc", "go", "li"], "instructions": 1000}
+    service = make_service(tmp_path)
+    receipt = service.submit(grid)
+    unique = receipt["total_tasks"]
+    assert unique == receipt["grid_points"] == 8
+    service.drain()
+    service.result(receipt["job"])
+    assert len(calls) == unique
+
+    service.result(receipt["job"])
+    assert len(calls) == unique
+
+    tasks = spec_tasks(normalise_spec(grid))
+    del calls[:]
+    SweepRunner(jobs=1).run(tasks)
+    SweepRunner(jobs=1, cache=service.store).run(tasks)
+    assert calls == []
+
+
 def test_identical_submissions_share_one_execution(tmp_path):
     service = make_service(tmp_path)
     first = service.submit(SMALL, tenant="alice")
