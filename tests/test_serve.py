@@ -337,6 +337,49 @@ def test_concurrent_identical_submissions_dedup(tmp_path):
         receipts[0]["total_tasks"]
 
 
+def test_cold_then_warm_pass_store_traffic(tmp_path):
+    """A cold/warm request mix read through ``stats()["store"]`` deltas.
+
+    Cold pass: distinct single-benchmark grids across three tenants plus
+    one repeat.  Nothing is stored yet, so there are no hits; the repeat
+    dedups onto its job; every job settles ``done``.  Warm pass: one
+    union grid over the same benchmarks and budget is a new job whose
+    every task is already stored, so it reads as all hits, no misses.
+    """
+    service = make_service(tmp_path)
+    names = ["comp", "gcc", "go", "li"]
+    cold = [{"benchmarks": [name], "instructions": 1000} for name in names]
+
+    def store_counters():
+        store = service.stats()["store"]
+        return store["hits"], store["misses"]
+
+    hits0, misses0 = store_counters()
+    receipts = [service.submit(spec, tenant=f"tenant-{i % 3}")
+                for i, spec in enumerate(cold)]
+    repeat = service.submit(dict(cold[0]), tenant="tenant-1")
+    service.drain()
+    hits1, misses1 = store_counters()
+    assert hits1 - hits0 == 0                    # cold hit rate 0.00
+    assert misses1 - misses0 == sum(r["total_tasks"] for r in receipts)
+    assert all(r["created"] for r in receipts)
+    assert repeat["job"] == receipts[0]["job"] and not repeat["created"]
+    for receipt in receipts:
+        status = service.status(receipt["job"])
+        assert status["state"] == "done" and not status["failures"]
+
+    warm = service.submit({"benchmarks": names, "instructions": 1000},
+                          tenant="tenant-0")
+    assert warm["created"]
+    assert warm["job"] not in {r["job"] for r in receipts}
+    service.drain()
+    hits2, misses2 = store_counters()
+    assert misses2 - misses1 == 0                # warm hit rate 1.00
+    assert hits2 - hits1 == warm["total_tasks"]
+    status = service.status(warm["job"])
+    assert status["state"] == "done" and not status["failures"]
+
+
 def test_rejected_submission_never_touches_the_queue(tmp_path):
     service = make_service(tmp_path)
     journal_before = open(service.queue.journal_path).read()
