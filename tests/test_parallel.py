@@ -402,3 +402,56 @@ class TestSweepCLI:
         with pytest.raises(SystemExit):
             main(["sweep", "--benchmarks", "comp", "--instructions",
                   "2000", "--predictor", "mystery-meat"])
+
+
+# -- the foreign-version resume warning -----------------------------------
+
+
+WARNING_MARKER = "no entry matched this grid"
+SWEEP_ARGS = ["sweep", "--benchmarks", "comp", "--instructions", "1000",
+              "--jobs", "1"]
+
+
+def _plant_foreign_entry(cache_dir):
+    """A structurally valid point whose key no current grid produces —
+    exactly what a pre-CODE_SCHEMA_VERSION-bump cache looks like."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    key = "f" * 64
+    entry = {"schema": POINT_SCHEMA, "task_key": key, "kind": "baseline",
+             "label": "stale", "benchmark": "comp", "instructions": 1000}
+    (cache_dir / f"{key}.json").write_text(
+        json.dumps(entry, sort_keys=True))
+
+
+def test_resume_warns_when_only_foreign_entries_match_nothing(
+        tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    _plant_foreign_entry(cache_dir)
+    assert main(SWEEP_ARGS + ["--cache-dir", str(cache_dir)]) == 0
+    captured = capsys.readouterr()
+    assert WARNING_MARKER in captured.err
+    assert "CODE_SCHEMA_VERSION" in captured.err
+
+
+def test_no_warning_on_empty_cache(tmp_path, capsys):
+    assert main(SWEEP_ARGS + ["--cache-dir",
+                              str(tmp_path / "cache")]) == 0
+    assert WARNING_MARKER not in capsys.readouterr().err
+
+
+def test_no_warning_when_cache_hits(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    assert main(SWEEP_ARGS + ["--cache-dir", cache_dir]) == 0
+    capsys.readouterr()
+    assert main(SWEEP_ARGS + ["--cache-dir", cache_dir]) == 0
+    captured = capsys.readouterr()
+    assert "cache_hits=2" in captured.out
+    assert WARNING_MARKER not in captured.err
+
+
+def test_no_warning_without_resume(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    _plant_foreign_entry(cache_dir)
+    assert main(SWEEP_ARGS + ["--cache-dir", str(cache_dir),
+                              "--no-resume"]) == 0
+    assert WARNING_MARKER not in capsys.readouterr().err
