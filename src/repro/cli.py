@@ -44,11 +44,7 @@
 * ``serve`` — run the sweep service: an HTTP API over a journaled job
   queue that shards submitted grids across the sweep runner's worker
   pools, with fair scheduling across tenants and a shared
-  content-addressed result store (see ``docs/service.md``),
-* ``loadtest`` — replay a seeded request mix against a running service
-  and write the ``repro.service.bench/1`` / ``BENCH_service.json``
-  artifact (cold/warm hit rates, latency quantiles, byte-identity
-  check; see ``docs/service.md``).
+  content-addressed result store (see ``docs/service.md``).
 """
 
 from __future__ import annotations
@@ -1076,12 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--heartbeat", type=float, default=2.0,
                               metavar="SECONDS",
                               help="event-stream heartbeat interval")
-    serve_parser.add_argument("--rate", type=float, default=0.0,
-                              metavar="PER_SECOND",
-                              help="per-tenant submit rate limit "
-                                   "(0 = unlimited; excess gets 429)")
-    serve_parser.add_argument("--burst", type=int, default=10,
-                              help="rate-limit burst size per tenant")
     serve_parser.add_argument("--max-instructions", type=int, default=None,
                               metavar="N",
                               help="reject grids whose per-point budget "
@@ -1100,32 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--retries", type=int, default=1,
                               help="pool rebuilds after worker crashes "
                                    "before degrading to serial")
-
-    loadtest_parser = sub.add_parser(
-        "loadtest",
-        help="replay a seeded request mix against a running sweep "
-             "service and write BENCH_service.json")
-    loadtest_parser.add_argument("--url", default="http://127.0.0.1:8752",
-                                 help="base URL of the service")
-    loadtest_parser.add_argument("--requests", type=int, default=12,
-                                 help="submissions in the cold pass")
-    loadtest_parser.add_argument("--overlap", type=float, default=0.5,
-                                 help="fraction of requests repeating an "
-                                      "earlier grid (job-dedup traffic)")
-    loadtest_parser.add_argument("--concurrency", type=int, default=4,
-                                 help="concurrent client threads")
-    loadtest_parser.add_argument("--tenants", type=int, default=3,
-                                 help="distinct X-Tenant values to rotate "
-                                      "through")
-    loadtest_parser.add_argument("--seed", type=int, default=1,
-                                 help="mix-generation seed")
-    loadtest_parser.add_argument("--instructions", type=int, default=3000,
-                                 help="per-point budget of generated "
-                                      "grids")
-    loadtest_parser.add_argument("--out", metavar="PATH", default=None,
-                                 help="write the repro.service.bench/1 "
-                                      "artifact here (e.g. "
-                                      "BENCH_service.json)")
 
     return parser
 
@@ -1149,16 +1113,15 @@ def cmd_report(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the sweep service HTTP server (see docs/service.md)."""
-    # Deferred import: only `repro serve` / `repro loadtest` ever load
-    # repro.serve (tests/test_serve_zero_cost pins the default path).
+    # Deferred import: only `repro serve` ever loads repro.serve
+    # (tests/test_serve_zero_cost pins the default path).
     from repro.serve import ServiceConfig, SweepService, make_store
     from repro.serve.http import run_server
 
     store_spec = args.store or os.path.join(args.queue_dir, "store")
     store = make_store(store_spec)
     config = ServiceConfig(jobs=args.jobs, shard_size=args.shard_size,
-                           heartbeat=args.heartbeat, rate=args.rate,
-                           burst=args.burst,
+                           heartbeat=args.heartbeat,
                            max_instructions=args.max_instructions,
                            resume=args.resume, task_timeout=args.timeout,
                            max_retries=args.retries)
@@ -1169,26 +1132,6 @@ def cmd_serve(args) -> int:
               f"from the journal; resuming", flush=True)
     run_server(service, args.host, args.port)
     return 0
-
-
-def cmd_loadtest(args) -> int:
-    """Replay a request mix against a running sweep service."""
-    from repro.serve.loadtest import run_loadtest, summary_line
-
-    report = run_loadtest(args.url, requests_n=args.requests,
-                          overlap=args.overlap,
-                          concurrency=args.concurrency,
-                          tenants=args.tenants, seed=args.seed,
-                          instructions=args.instructions, out=args.out)
-    print(summary_line(report))
-    if args.out:
-        print(f"wrote {args.out}")
-    failed = report["cold"]["failed_jobs"] + report["warm"]["failed_jobs"]
-    if not report["identity"]["byte_identical"]:
-        print("loadtest: served result diverged from the local sweep "
-              "pipeline", file=sys.stderr)
-        return 1
-    return 1 if failed else 0
 
 
 _COMMANDS = {
@@ -1205,7 +1148,6 @@ _COMMANDS = {
     "verify": cmd_verify,
     "lint": cmd_lint,
     "serve": cmd_serve,
-    "loadtest": cmd_loadtest,
 }
 
 

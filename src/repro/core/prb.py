@@ -89,50 +89,6 @@ class PostRetirementBuffer:
             self._sweep_writers(floor)
         return entry
 
-    def insert_decoded(self, rec: DynamicInstruction, idx: int,
-                       value_confident: bool, address_confident: bool,
-                       dest: int, src1: int, src2: int, nsrc: int,
-                       is_load: bool, is_store: bool, ea: int) -> PRBEntry:
-        """Predecoded-column fast path of :meth:`insert`.
-
-        The fused retire loop (:mod:`repro.kernel`) has the instruction's
-        dataflow already unpacked into flat columns (``dest``/``src1``/
-        ``src2`` use ``-1`` for "none"), so this variant skips the
-        ``rec.inst`` attribute walk and the producer-tuple generator of
-        the per-record path.  Must stay behaviourally identical to
-        :meth:`insert` — ``tests/test_kernel.py`` property-checks the
-        equivalence.
-        """
-        pos = self._next_pos
-        self._next_pos = pos + 1
-        reg_writer = self._reg_writer
-        floor = pos + 1 - self.capacity
-        if nsrc == 0:
-            src_producers: Tuple[Optional[int], ...] = ()
-        elif nsrc == 1:
-            p = reg_writer.get(src1)
-            src_producers = (p if p is not None and p >= floor else None,)
-        else:
-            p = reg_writer.get(src1)
-            q = reg_writer.get(src2)
-            src_producers = (p if p is not None and p >= floor else None,
-                             q if q is not None and q >= floor else None)
-        mem_producer = None
-        if is_load:
-            p = self._mem_writer.get(ea)
-            if p is not None and p >= floor:
-                mem_producer = p
-        entry = PRBEntry(rec, idx, pos, src_producers, mem_producer,
-                         value_confident, address_confident)
-        self._ring[pos % self.capacity] = entry
-        if dest >= 0:
-            reg_writer[dest] = pos
-        if is_store:
-            self._mem_writer[ea] = pos
-        if pos >= self._sweep_at:
-            self._sweep_writers(floor)
-        return entry
-
     def _sweep_writers(self, floor: int) -> None:
         """Prune producer positions that fell below the liveness floor.
 

@@ -221,9 +221,9 @@ class OoOTimingModel:
             ap_threshold = ap.confidence_threshold
             ap_maxconf = ap.max_confidence
             ap_capacity = ap.capacity
-            # PRB internals for the inlined ``insert_decoded`` body.
-            # ``prb._next_pos`` is written back every insert so the
-            # builder's mid-loop ``prb.get`` reads stay coherent.
+            # PRB internals for the inlined ``PostRetirementBuffer.insert``
+            # body.  ``prb._next_pos`` is written back every insert so
+            # the builder's mid-loop ``prb.get`` reads stay coherent.
             prb = engine.prb
             prb_ring = prb._ring
             prb_capacity = prb.capacity
@@ -488,7 +488,7 @@ class OoOTimingModel:
                             entry.confidence = 0
                         entry.last_value = base
 
-                # Inlined PostRetirementBuffer.insert_decoded.  The PRB
+                # Inlined PostRetirementBuffer.insert.  The PRB
                 # cursor lives in ``prb_next_pos``; it is published to
                 # ``prb._next_pos`` before every call that can re-enter the
                 # engine (builder promotions read the PRB mid-loop) and at

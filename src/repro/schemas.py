@@ -57,7 +57,6 @@ SCHEMA_REGISTRY: Dict[str, Dict[int, str]] = {
     "repro.obs": {1: "repro.obs.export"},
     "repro.obs.flight": {1: "repro.obs.flight"},
     "repro.serve.job": {1: "repro.serve.jobs"},
-    "repro.service.bench": {1: "repro.serve.loadtest"},
 }
 
 #: Human-facing metadata per schema *name* (latest version): a one-line
@@ -243,23 +242,6 @@ SCHEMA_INFO: Dict[str, Dict[str, Any]] = {
             "state": "queued | running | done | failed (task records); "
                      "running | done | failed (job records)",
             "reason": "failure reason (failed task records)",
-        },
-    },
-    "repro.service.bench": {
-        "description": ("repro loadtest artifact: cold-vs-warm "
-                            "request-replay statistics against a "
-                            "running sweep service."),
-        "fields": {
-            "context": "mix parameters (requests, overlap, concurrency, "
-                       "tenants, seed, grid pool sizes) + server URL",
-            "cold": "cold-pass stats: requests, dedup, jobs, latency "
-                    "quantiles, store hit/miss deltas, hit_rate, "
-                    "failed_jobs",
-            "warm": "warm-pass stats over the union grids (same row "
-                    "shape as cold; measures content-addressed reuse)",
-            "identity": "byte-identity check of one served artifact vs "
-                        "the local sweep pipeline (job, byte_identical, "
-                        "points)",
         },
     },
 }

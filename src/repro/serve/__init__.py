@@ -14,18 +14,15 @@ Layers (each importable and testable on its own):
   canonical specs, deterministic job ids,
 * :mod:`repro.serve.jobs` — the journaled job queue
   (``repro.serve.job/1``) with crash recovery,
-* :mod:`repro.serve.scheduler` — tenant-fair round-robin + token-bucket
-  rate limits,
+* :mod:`repro.serve.scheduler` — tenant-fair round-robin,
 * :mod:`repro.serve.store` — result-store backends and the factory,
 * :mod:`repro.serve.service` — the transport-agnostic service core,
-* :mod:`repro.serve.http` — the zero-dependency asyncio HTTP front end,
-* :mod:`repro.serve.loadtest` — the ``repro loadtest`` replay harness
-  (``repro.service.bench/1``).
+* :mod:`repro.serve.http` — the zero-dependency asyncio HTTP front end.
 
-Nothing here is imported by default CLI paths — ``repro serve`` /
-``repro loadtest`` defer the import, keeping every other subcommand at
-zero added cost (pinned by the subprocess import tests).  See
-``docs/service.md`` for the API and operations guide.
+Nothing here is imported by default CLI paths — ``repro serve`` defers
+the import, keeping every other subcommand at zero added cost (pinned
+by the subprocess import tests).  See ``docs/service.md`` for the API
+and operations guide.
 """
 
 from repro.serve.gridspec import (
@@ -35,11 +32,9 @@ from repro.serve.gridspec import (
     spec_tasks,
 )
 from repro.serve.jobs import JOB_SCHEMA, Job, JobQueue
-from repro.serve.loadtest import SERVICE_BENCH_SCHEMA, run_loadtest
-from repro.serve.scheduler import FairScheduler, TokenBucket
+from repro.serve.scheduler import FairScheduler
 from repro.serve.service import (
     JobNotSettledError,
-    RateLimitError,
     ServiceConfig,
     SweepService,
 )
@@ -53,12 +48,8 @@ __all__ = [
     "JOB_SCHEMA",
     "Job",
     "JobQueue",
-    "SERVICE_BENCH_SCHEMA",
-    "run_loadtest",
     "FairScheduler",
-    "TokenBucket",
     "JobNotSettledError",
-    "RateLimitError",
     "ServiceConfig",
     "SweepService",
     "MemoryResultStore",

@@ -20,8 +20,8 @@ GET    ``/v1/healthz``                liveness probe
 
 Errors are structured JSON — ``{"error": {"code", "message", "field"?}}``
 — and a malformed submit is rejected before it touches the job queue
-(pinned by the failure-path tests).  The tenant for fair scheduling and
-rate limiting comes from the ``X-Tenant`` header (default ``public``).
+(pinned by the failure-path tests).  The tenant for fair scheduling
+comes from the ``X-Tenant`` header (default ``public``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.gridspec import GridSpecError
-from repro.serve.service import JobNotSettledError, RateLimitError, SweepService
+from repro.serve.service import JobNotSettledError, SweepService
 
 #: Submit bodies larger than this are refused with 413 (a grid spec is
 #: a few hundred bytes; megabytes means a confused client).
@@ -193,10 +193,6 @@ class ServeHTTP:
         try:
             receipt = await loop.run_in_executor(
                 None, self.service.submit, payload, tenant)
-        except RateLimitError as error:
-            await self._send_json(writer, 429, _error_body(
-                "rate_limited", str(error)))
-            return
         except GridSpecError as error:
             await self._send_json(
                 writer, 400, {"error": error.as_dict()})
@@ -273,7 +269,7 @@ class ServeHTTP:
                          payload: Dict[str, Any]) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                    404: "Not Found", 409: "Conflict",
-                   413: "Payload Too Large", 429: "Too Many Requests",
+                   413: "Payload Too Large",
                    431: "Request Header Fields Too Large"}
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         head = (f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"

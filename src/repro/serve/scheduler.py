@@ -1,47 +1,16 @@
-"""Fair scheduling and rate limiting for the sweep service.
+"""Fair scheduling for the sweep service.
 
-Two small, deterministic-given-time primitives:
-
-* :class:`TokenBucket` — per-tenant submit rate limiting.  The caller
-  supplies the clock reading (monotonic seconds), so the bucket itself
-  never reads a clock and tests can drive it with synthetic time.
-* :class:`FairScheduler` — round-robin *across tenants*, FIFO within a
-  tenant.  The dispatcher runs one shard (``shard_size`` tasks) of the
-  chosen job per turn, so a tenant with a 10 000-point grid cannot
-  starve a tenant with a 4-point grid: after each shard the big job goes
-  to the back of its tenant's queue and the next tenant gets a turn.
+:class:`FairScheduler` is round-robin *across tenants*, FIFO within a
+tenant.  The dispatcher runs one shard (``shard_size`` tasks) of the
+chosen job per turn, so a tenant with a 10 000-point grid cannot starve
+a tenant with a 4-point grid: after each shard the big job goes to the
+back of its tenant's queue and the next tenant gets a turn.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from typing import Deque, Dict, Optional
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
-
-    ``try_take(now)`` consumes one token if available.  ``rate <= 0``
-    disables limiting (always allows).
-    """
-
-    def __init__(self, rate: float, burst: int):
-        self.rate = rate
-        self.burst = max(1, burst)
-        self.tokens = float(self.burst)
-        self.last: Optional[float] = None
-
-    def try_take(self, now: float) -> bool:
-        if self.rate <= 0:
-            return True
-        if self.last is not None:
-            self.tokens = min(float(self.burst),
-                              self.tokens + (now - self.last) * self.rate)
-        self.last = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
 
 
 class FairScheduler:

@@ -44,20 +44,12 @@ from repro.parallel.sweep import merge_sweep
 from repro.parallel.taskkey import SweepTask
 from repro.serve.gridspec import normalise_spec, spec_job_id, spec_tasks
 from repro.serve.jobs import Job, JobQueue
-from repro.serve.scheduler import FairScheduler, TokenBucket
+from repro.serve.scheduler import FairScheduler
 from repro.serve.store import store_stats
 
 #: Cap on buffered stream events per job (oldest dropped first); status
 #: and results are journal/store-backed, so the stream may be lossy.
 MAX_EVENTS_PER_JOB = 10_000
-
-
-class RateLimitError(Exception):
-    """Tenant exceeded its submit rate; rendered as HTTP 429."""
-
-    def __init__(self, tenant: str):
-        super().__init__(f"tenant {tenant!r} exceeded its submit rate")
-        self.tenant = tenant
 
 
 @dataclass
@@ -68,8 +60,6 @@ class ServiceConfig:
                                   # (None: $REPRO_JOBS or serial)
     shard_size: int = 8           # tasks per scheduler turn
     heartbeat: float = 2.0        # stream heartbeat interval (seconds)
-    rate: float = 0.0             # submits/second/tenant (0 = unlimited)
-    burst: int = 10               # rate-limit burst size
     max_instructions: Optional[int] = None  # per-point cap (None = off)
     resume: bool = True           # read the store before simulating
     task_timeout: Optional[float] = None
@@ -125,7 +115,6 @@ class SweepService:
         self.store = store
         self.queue = JobQueue(queue_dir)
         self.scheduler = FairScheduler()
-        self._buckets: Dict[str, TokenBucket] = {}
         self._lock = threading.Lock()
         self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._event_seq: Dict[str, int] = {}
@@ -177,24 +166,13 @@ class SweepService:
 
     # -- API surface ----------------------------------------------------------
 
-    def submit(self, payload: Any, tenant: str = "public",
-               now: Optional[float] = None) -> Dict[str, Any]:
+    def submit(self, payload: Any, tenant: str = "public") -> Dict[str, Any]:
         """Validate and enqueue a grid; idempotent per canonical spec.
 
-        Order matters and is load-bearing for the failure-path tests:
-        rate limit first (cheap, per-tenant), then validation (a 4xx
-        must not touch the queue or journal), then the dedup-or-create
-        against the job table.
+        Validation comes first, so a 4xx never touches the queue or
+        journal (pinned by the failure-path tests); then the
+        dedup-or-create against the job table.
         """
-        clock = time.monotonic() if now is None else now
-        with self._lock:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                bucket = TokenBucket(self.config.rate, self.config.burst)
-                self._buckets[tenant] = bucket
-            if not bucket.try_take(clock):
-                raise RateLimitError(tenant)
-
         spec = normalise_spec(payload,
                               max_instructions=self.config.max_instructions)
         job_id = spec_job_id(spec)
@@ -285,7 +263,7 @@ class SweepService:
 
     def _peek(self, key: str) -> Optional[Dict[str, Any]]:
         """Read a payload without perturbing the store's hit/miss
-        counters — API reads are not cache traffic, and the loadtest
+        counters — API reads are not cache traffic, and perfbench
         derives hit rates from counter deltas."""
         return self.store.read(key)[0]
 

@@ -8,7 +8,6 @@ The contract under test (``repro.kernel``):
   the frozen per-record loop of :class:`ReferenceTimingModel` (the
   oracle), both at the ``TimingResult``/engine-report level and at the
   worker-payload level,
-* PRB ``insert_decoded`` == ``insert`` (the decoded-column fast path),
 * sampled simulation: marked, key-distinct, within the documented error
   bound, and exact for a degenerate spec.
 """
@@ -20,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.branch.unit import BranchPredictorComplex
-from repro.core.prb import PostRetirementBuffer
 from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
 from repro.kernel import OoOTimingModel, SampleSpec, predecode
 from repro.kernel.columns import (
@@ -131,28 +129,6 @@ class TestBatchedBitIdentity:
         assert json.dumps(scalar, sort_keys=True) == json.dumps(
             {"timing": fused_payload["timing"],
              "metrics": fused_payload["metrics"]}, sort_keys=True)
-
-
-class TestInsertDecoded:
-    @given(n=st.integers(500, 3000), capacity=st.sampled_from([16, 64, 512]))
-    @settings(max_examples=10, deadline=None)
-    def test_matches_insert(self, n, capacity):
-        trace = benchmark_trace("gcc", n)
-        reference = PostRetirementBuffer(capacity)
-        decoded = PostRetirementBuffer(capacity)
-        for idx, rec in enumerate(trace.records):
-            inst = rec.inst
-            a = reference.insert(rec, idx)
-            srcs = inst.srcs
-            b = decoded.insert_decoded(
-                rec, idx, False, False,
-                inst.dest if inst.dest is not None else -1,
-                srcs[0] if srcs else -1,
-                srcs[1] if len(srcs) > 1 else -1,
-                len(srcs), inst.is_load, inst.is_store,
-                rec.ea if rec.ea is not None else 0)
-            assert (a.pos, a.src_producers, a.mem_producer) \
-                == (b.pos, b.src_producers, b.mem_producer)
 
 
 class TestSampled:

@@ -55,10 +55,3 @@ def test_check_mode_exit_codes(tmp_path, monkeypatch, capsys):
     assert gen_schema_docs.main(["--check"]) == 1
     capsys.readouterr()
 
-
-def test_service_bench_schema_is_registered():
-    # The loadtest artifact's marker resolves through the registry
-    # (a stray literal would trip lint rule LINT020).
-    assert schema_string("repro.service.bench", 1) == \
-        "repro.service.bench/1"
-    assert schema_string("repro.serve.job", 1) == "repro.serve.job/1"

@@ -9,8 +9,7 @@ down:
 * served results are byte-identical to the local runner pipeline;
 * worker loss mid-grid resumes idempotently from the journal, with
   already-stored points served as cache hits rather than re-simulated;
-* fair scheduling interleaves tenants shard-by-shard;
-* rate limiting is per tenant and deterministic given the clock.
+* fair scheduling interleaves tenants shard-by-shard.
 """
 
 import json
@@ -26,7 +25,6 @@ from repro.serve import (
     JobNotSettledError,
     JobQueue,
     MemoryResultStore,
-    RateLimitError,
     ServiceConfig,
     SweepService,
     make_store,
@@ -35,7 +33,7 @@ from repro.serve import (
     spec_tasks,
     store_stats,
 )
-from repro.serve.scheduler import FairScheduler, TokenBucket
+from repro.serve.scheduler import FairScheduler
 
 SMALL = {"benchmarks": ["comp"], "instructions": 2000}
 
@@ -185,15 +183,6 @@ def test_make_store(tmp_path):
 
 
 # -- scheduler ------------------------------------------------------------
-
-
-def test_token_bucket():
-    bucket = TokenBucket(rate=1.0, burst=2)
-    assert bucket.try_take(0.0) and bucket.try_take(0.0)
-    assert not bucket.try_take(0.0)              # burst exhausted
-    assert bucket.try_take(1.0)                  # refilled one token
-    assert not bucket.try_take(1.0)
-    assert TokenBucket(rate=0.0, burst=1).try_take(0.0)  # 0 = unlimited
 
 
 def test_fair_scheduler_round_robins_tenants():
@@ -370,8 +359,7 @@ def test_cold_then_warm_pass_store_traffic(tmp_path):
 
     warm = service.submit({"benchmarks": names, "instructions": 1000},
                           tenant="tenant-0")
-    assert warm["created"]
-    assert warm["job"] not in {r["job"] for r in receipts}
+    assert warm["created"]                       # a new job id
     service.drain()
     hits2, misses2 = store_counters()
     assert misses2 - misses1 == 0                # warm hit rate 1.00
@@ -388,17 +376,6 @@ def test_rejected_submission_never_touches_the_queue(tmp_path):
             service.submit(payload)
     assert service.stats()["queue"]["jobs"] == 0
     assert open(service.queue.journal_path).read() == journal_before
-
-
-def test_rate_limit_is_per_tenant(tmp_path):
-    service = make_service(tmp_path, rate=1.0, burst=1)
-    service.submit(SMALL, tenant="alice", now=0.0)
-    with pytest.raises(RateLimitError):
-        service.submit(SMALL, tenant="alice", now=0.0)
-    # A different tenant has its own bucket...
-    service.submit(SMALL, tenant="bob", now=0.0)
-    # ...and alice recovers once tokens refill.
-    assert service.submit(SMALL, tenant="alice", now=1.5)["job"]
 
 
 def test_unknown_job_queries(tmp_path):

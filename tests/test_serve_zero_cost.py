@@ -1,7 +1,7 @@
 """``repro.serve`` must be zero-cost when unused.
 
-Only the ``serve`` and ``loadtest`` subcommands import the service
-package (both defer the import into their command functions).  Every
+Only the ``serve`` subcommand imports the service package (it defers
+the import into its command function).  Every
 other entry point — ``import repro.cli``, building the parser, running
 a sweep through :mod:`repro.parallel` — must keep ``repro.serve`` (and
 ``asyncio``-based HTTP machinery) out of ``sys.modules``, same rule as
