@@ -23,6 +23,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_serve_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        assert (args.host, args.port) == ("127.0.0.1", 8752)
+        assert args.queue_dir == ".repro-serve"
+        assert args.store is None and args.max_instructions is None
+        assert args.shard_size == 8 and args.resume
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--rate", "5"],
+        ["serve", "--burst", "5"],
+        ["loadtest"],
+    ], ids=["serve-rate", "serve-burst", "loadtest"])
+    def test_removed_options_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_suite_lists_benchmarks(self, capsys):

@@ -8,6 +8,8 @@ The contract under test (``repro.kernel``):
   the frozen per-record loop of :class:`ReferenceTimingModel` (the
   oracle), both at the ``TimingResult``/engine-report level and at the
   worker-payload level,
+* the fused loop's inlined PRB insert leaves the same buffer as
+  ``PostRetirementBuffer.insert`` does under the per-record loop,
 * sampled simulation: marked, key-distinct, within the documented error
   bound, and exact for a degenerate spec.
 """
@@ -129,6 +131,41 @@ class TestBatchedBitIdentity:
         assert json.dumps(scalar, sort_keys=True) == json.dumps(
             {"timing": fused_payload["timing"],
              "metrics": fused_payload["metrics"]}, sort_keys=True)
+
+
+class _LoggingRing(list):
+    """A PRB ring that also keeps every entry ever written to it."""
+
+    def __init__(self, capacity):
+        super().__init__([None] * capacity)
+        self.written = []
+
+    def __setitem__(self, index, entry):
+        self.written.append(entry)
+        super().__setitem__(index, entry)
+
+
+class TestInlinedPRB:
+    @given(name=st.sampled_from(["gcc", "mcf_2k", "vortex"]),
+           n=st.integers(500, 3000), capacity=st.sampled_from([16, 64, 512]))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_insert(self, name, n, capacity):
+        """Every entry the fused loop writes equals the one
+        ``PostRetirementBuffer.insert`` writes under the per-record loop."""
+        trace = benchmark_trace(name, n)
+        config = SSMTConfig(prb_capacity=capacity)
+        written = []
+        for model in (ReferenceTimingModel(), OoOTimingModel()):
+            engine = SSMTEngine(config, initial_memory=trace.initial_memory)
+            engine.prb._ring = _LoggingRing(capacity)
+            model.run(trace, BranchPredictorComplex(), engine)
+            written.append([(e.rec, e.idx, e.pos, e.src_producers,
+                             e.mem_producer, e.value_confident,
+                             e.address_confident)
+                            for e in engine.prb._ring.written])
+        reference, fused = written
+        assert len(reference) == n
+        assert fused == reference
 
 
 class TestSampled:

@@ -11,6 +11,7 @@ not the service semantics (those are pinned socket-free in
 import asyncio
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -24,10 +25,11 @@ SMALL = {"benchmarks": ["comp"], "instructions": 2000}
 class ServerFixture:
     """ServeHTTP on port 0 in a background asyncio loop."""
 
-    def __init__(self, tmp_path):
+    def __init__(self, tmp_path, store=None, **config):
         self.service = SweepService(
-            str(tmp_path / "queue"), MemoryResultStore(),
-            ServiceConfig(jobs=1, heartbeat=0.2))
+            str(tmp_path / "queue"),
+            store if store is not None else MemoryResultStore(),
+            ServiceConfig(jobs=1, heartbeat=0.2, **config))
         self.http = ServeHTTP(self.service, port=0)
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self.loop.run_forever,
@@ -60,6 +62,18 @@ class ServerFixture:
             return response.status, (json.loads(data) if data else None)
         finally:
             conn.close()
+
+    def raw(self, data):
+        """Send raw bytes; return (status, JSON body) of the reply."""
+        with socket.create_connection(("127.0.0.1", self.port),
+                                      timeout=30) as sock:
+            sock.sendall(data)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        return status, json.loads(body)
 
     def wait_settled(self, job_id, timeout=60.0):
         import time
@@ -182,3 +196,85 @@ def test_result_while_running_is_409(tmp_path):
         assert payload["error"]["code"] == "not_settled"
     finally:
         fixture.close()
+
+
+@pytest.mark.parametrize("tenant_header", [{}, {"X-Tenant": ""}],
+                         ids=["absent", "empty"])
+def test_tenant_defaults_to_public(server, tenant_header):
+    status, receipt = server.request("POST", "/v1/sweeps", body=SMALL,
+                                     headers=tenant_header)
+    assert status == 202
+    assert server.request("GET", f"/v1/sweeps/{receipt['job']}")[1][
+        "tenant"] == "public"
+
+
+def test_instruction_cap_is_400_and_never_queued(tmp_path):
+    fixture = ServerFixture(tmp_path, max_instructions=1000)
+    try:
+        status, payload = fixture.request("POST", "/v1/sweeps", body=SMALL)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert payload["error"]["field"] == "instructions"
+        assert fixture.request("GET", "/v1/stats")[1]["queue"]["jobs"] == 0
+    finally:
+        fixture.close()
+
+
+def test_non_integer_content_length_reads_no_body(server):
+    """An unparsable Content-Length counts as 0: the submit then fails
+    validation as an empty body rather than hanging on a read."""
+    status, payload = server.request("POST", "/v1/sweeps",
+                                     headers={"Content-Length": "abc"})
+    assert status == 400
+    assert payload["error"]["code"] == "invalid_request"
+    assert "NoneType" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("request_line", [
+    b"GARBAGE\r\n\r\n",
+    b"GET /v1/healthz\r\n\r\n",
+    b"\r\n\r\n",
+], ids=["one-word", "no-version", "empty"])
+def test_malformed_request_line_is_400(server, request_line):
+    status, payload = server.raw(request_line)
+    assert status == 400
+    assert payload["error"]["code"] == "bad_request"
+
+
+def test_overlong_request_line_is_431(server):
+    # One byte past the stream reader's 64 KiB line limit and no line
+    # end: the server has read everything sent when it refuses, so the
+    # reply is not raced by a reset.
+    status, payload = server.raw(b"GET /" + b"a" * ((1 << 16) + 1 - 5))
+    assert status == 431
+    assert payload["error"]["code"] == "header_too_large"
+    assert server.request("GET", "/v1/healthz") == (200, {"ok": True})
+
+
+def test_restarted_server_serves_journaled_job(tmp_path):
+    """Stop a server after a job settles and boot a new one over the
+    same queue directory and store: the job is still listed and its
+    result is served without re-simulating any point."""
+    store = MemoryResultStore()
+    first = ServerFixture(tmp_path, store=store)
+    try:
+        _, receipt = first.request("POST", "/v1/sweeps", body=SMALL)
+        job = receipt["job"]
+        assert first.wait_settled(job)["state"] == "done"
+        _, report = first.request("GET", f"/v1/sweeps/{job}/result")
+    finally:
+        first.close()
+    writes = store.writes
+
+    second = ServerFixture(tmp_path, store=store)
+    try:
+        _, stats = second.request("GET", "/v1/stats")
+        assert stats["queue"]["jobs"] == 1
+        status, settled = second.request("GET", f"/v1/sweeps/{job}")
+        assert status == 200 and settled["state"] == "done"
+        status, again = second.request("GET", f"/v1/sweeps/{job}/result")
+        assert status == 200
+        assert again["points"] == report["points"]
+    finally:
+        second.close()
+    assert store.writes == writes
