@@ -190,6 +190,33 @@ class TestEngineStateTracking:
         last = stores[-1]
         assert engine.memory[last.ea] == last.result
 
+    def test_unstored_address_reads_the_data_segment(self):
+        engine = SSMTEngine(fast_config(), initial_memory={0x100: 42})
+        assert engine._memory_read(0x100) == 42
+        assert engine._memory_read(0x200) == 0
+        engine.memory[0x100] = 7
+        assert engine._memory_read(0x100) == 7
+
+    @pytest.mark.parametrize("loop", ["fused", "reference", "sampled"])
+    def test_run_leaves_the_data_segment_untouched(self, loop):
+        from repro.kernel.sampling import SampleSpec
+        from repro.perf.reference import ReferenceTimingModel
+
+        trace = run_program(assemble(STORE_INTERFERENCE),
+                            max_instructions=20_000)
+        before = dict(trace.initial_memory)
+        if loop == "reference":
+            engine = SSMTEngine(fast_config(),
+                                initial_memory=trace.initial_memory)
+            ReferenceTimingModel().run(trace, BranchPredictorComplex(),
+                                       engine)
+        else:
+            sample = SampleSpec(interval=5_000) if loop == "sampled" else None
+            _, engine = run_ssmt(trace, fast_config(), sample=sample)
+        assert any(r.inst.is_store and before.get(r.ea) != r.result
+                   for r in trace)
+        assert trace.initial_memory == before
+
 
 class TestConfig:
     def test_default_config_matches_paper(self):
