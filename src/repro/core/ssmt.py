@@ -182,7 +182,10 @@ class SSMTEngine:
                                     event_log=event_log, tracer=tracer)
         self._timing_model: Optional[OoOTimingModel] = None
         self.reg_values = [0] * 32
-        self.memory: Dict[int, int] = dict(initial_memory or {})
+        #: the data segment, shared and never written; ``memory`` holds
+        #: only the retired stores and overlays it
+        self.initial_memory: Dict[int, int] = initial_memory or {}
+        self.memory: Dict[int, int] = {}
         self._pending_mispredict: Dict[int, bool] = {}
         self.prediction_kind_counts: Dict[str, int] = {}
         self.correct_microthread_predictions = 0
@@ -215,7 +218,8 @@ class SSMTEngine:
     # -- memory / predictor closures for microthread execution ----------------
 
     def _memory_read(self, ea: int) -> int:
-        return self.memory.get(ea, 0)
+        value = self.memory.get(ea)
+        return self.initial_memory.get(ea, 0) if value is None else value
 
     def _value_predict(self, pc: int, ahead: int) -> Optional[int]:
         return self.trainer.value_predictor.predict(pc, ahead)

@@ -14,14 +14,17 @@ per instruction.
 
 Predecode output is memoized on the trace object, so repeated runs over
 the same trace (sweep points, benchmark rounds) pay the predecode walk
-once.
+once.  The benchmark trace store (:mod:`repro.workloads.suite`) keeps
+predecoded columns instead of records and rebuilds a trace's records
+with :func:`decode_records`, the inverse of the predecode walk.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.sim.trace import Trace
+from repro.isa.instructions import Instruction
+from repro.sim.trace import DynamicInstruction, Trace
 
 # -- per-instruction classification bitmask ---------------------------------
 
@@ -119,10 +122,38 @@ class TraceColumns:
         self.result = result
         self.next_pc = next_pc
 
+    @classmethod
+    def from_lists(cls, records: List[DynamicInstruction],
+                   lists: Sequence[List[int]]) -> "TraceColumns":
+        """Columns already decoded from ``records``, given in
+        :data:`COLUMN_NAMES` order."""
+        columns = cls.__new__(cls)
+        columns.records = records
+        columns.n = len(records)
+        for name, column in zip(COLUMN_NAMES, lists):
+            setattr(columns, name, column)
+        return columns
+
     def lists(self) -> Tuple[List[int], ...]:
         """Every column, in :data:`COLUMN_NAMES` order (the simulation
         loop's working set)."""
         return tuple(getattr(self, name) for name in COLUMN_NAMES)
+
+
+def decode_records(instructions: Sequence[Instruction],
+                   lists: Sequence[List[int]], src1_val: Sequence[int],
+                   src2_val: Sequence[int]) -> List[DynamicInstruction]:
+    """The inverse of predecode: the records that ``lists`` (in
+    :data:`COLUMN_NAMES` order) were decoded from, given the program's
+    instructions and the two source-value columns predecode drops."""
+    flags, pc, ea, result, next_pc = (lists[0], lists[1], lists[8],
+                                      lists[9], lists[10])
+    return [
+        DynamicInstruction(seq, instructions[p], a, b, r,
+                           e if f & HAS_EA else None, bool(f & IS_TAKEN), t)
+        for seq, (f, p, a, b, r, e, t) in enumerate(
+            zip(flags, pc, src1_val, src2_val, result, ea, next_pc))
+    ]
 
 
 def predecode(trace: Trace) -> TraceColumns:

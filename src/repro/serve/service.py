@@ -244,11 +244,9 @@ class SweepService:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             queue_stats = self.queue.stats()
-            scheduled = len(self.scheduler)
         return {
             "store": store_stats(self.store),
             "queue": queue_stats,
-            "scheduled_jobs": scheduled,
             "shards_run": self.shards_run,
         }
 

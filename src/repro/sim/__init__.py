@@ -9,7 +9,6 @@ SPEC binaries.
 
 from repro.sim.trace import DynamicInstruction, Trace
 from repro.sim.functional import FunctionalSimulator, SimulationError, run_program
-from repro.sim.traceio import TraceIOError, load_trace, save_trace
 
 __all__ = [
     "DynamicInstruction",
@@ -17,7 +16,4 @@ __all__ = [
     "FunctionalSimulator",
     "SimulationError",
     "run_program",
-    "TraceIOError",
-    "load_trace",
-    "save_trace",
 ]

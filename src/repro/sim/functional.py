@@ -8,7 +8,7 @@ outcomes recorded — everything the back-end models need.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
@@ -46,6 +46,10 @@ class FunctionalSimulator:
         The linked program to run.
     max_instructions:
         Hard budget; execution stops (without error) when exhausted.
+
+    The simulator is resumable: a later :meth:`run` with a larger budget
+    continues from the saved ``pc``, registers and memory, numbering
+    ``seq`` on from where the last run stopped.
     """
 
     def __init__(self, program: Program, max_instructions: int = 200_000):
@@ -56,9 +60,14 @@ class FunctionalSimulator:
         self.memory: Dict[int, int] = dict(program.data.values)
         self.pc = program.entry
         self.halted = False
+        #: instructions retired so far (the next record's ``seq``)
+        self.retired = 0
 
-    def run(self) -> Trace:
-        """Run to ``HALT`` or the instruction budget; return the trace."""
+    def run(self, max_instructions: Optional[int] = None) -> Trace:
+        """Run to ``HALT`` or until ``max_instructions`` (default: the
+        constructor's budget) have retired in total; return the trace of
+        the instructions this call retired.  Its ``initial_memory`` is
+        the program's data segment itself, shared and never written."""
         records: List[DynamicInstruction] = []
         append = records.append
         regs = self.regs
@@ -66,9 +75,13 @@ class FunctionalSimulator:
         instructions = self.program.instructions
         n_static = len(instructions)
         pc = self.pc
-        budget = self.max_instructions
+        start = self.retired
+        budget = (self.max_instructions if max_instructions is None
+                  else max_instructions)
+        if self.halted:
+            budget = start
 
-        for seq in range(budget):
+        for seq in range(start, budget):
             if not 0 <= pc < n_static:
                 raise SimulationError(f"pc {pc} out of range at seq {seq}")
             inst = instructions[pc]
@@ -175,8 +188,9 @@ class FunctionalSimulator:
             pc = next_pc
 
         self.pc = pc
+        self.retired = start + len(records)
         return Trace(records, name=self.program.name, halted=self.halted,
-                     initial_memory=dict(self.program.data.values))
+                     initial_memory=self.program.data.values)
 
 
 _IMM_TO_REG = {

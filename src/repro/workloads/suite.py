@@ -13,11 +13,14 @@ magnitude shorter); the *shape* across n, T and benchmarks is the target.
 
 from __future__ import annotations
 
+import array
 import collections
-from typing import Dict, Tuple
+import threading
+from typing import Dict, Optional, Tuple
 
 from repro.isa.program import Program
-from repro.sim.functional import run_program
+from repro.kernel.columns import TraceColumns, decode_records
+from repro.sim.functional import FunctionalSimulator
 from repro.sim.trace import Trace
 from repro.workloads.generator import generate_program
 from repro.workloads.spec import SiteKind, WorkloadSpec
@@ -175,10 +178,12 @@ _register(_spec(
 
 BENCHMARK_NAMES: Tuple[str, ...] = tuple(_SPECS.keys())
 
-_TRACE_CACHE: "collections.OrderedDict[Tuple[str, int], Trace]" = None
 _PROGRAM_CACHE: Dict[str, Program] = {}
-#: Traces are tens of MB each; keep only a few resident.
-_TRACE_CACHE_MAX = 3
+
+#: How a store entry packs its columns (:data:`~repro.kernel.columns.
+#: COLUMN_NAMES`, then ``src1_val`` and ``src2_val``): ``array`` typecodes,
+#: unsigned where the value is a 64-bit pattern, 8 bytes an item.
+_TYPECODES = "qqqqqqqqQQQQQ"
 
 
 def benchmark_spec(name: str) -> WorkloadSpec:
@@ -195,25 +200,112 @@ def build_benchmark(name: str) -> Program:
     return _PROGRAM_CACHE[name]
 
 
+class _Entry:
+    """One benchmark's simulator and the predecoded columns of every
+    instruction it has retired so far."""
+
+    __slots__ = ("sim", "columns", "generated")
+
+    def __init__(self, program: Program):
+        self.sim = FunctionalSimulator(program)
+        self.columns = tuple(bytearray() for _ in _TYPECODES)
+        self.generated = 0
+
+    def extend(self, n: int) -> None:
+        """Simulate on to ``n`` instructions; predecode and append them."""
+        trace = self.sim.run(n)
+        records = trace.records
+        chunk = TraceColumns(trace).lists() + (
+            [rec.src1_val for rec in records],
+            [rec.src2_val for rec in records])
+        for column, code, values in zip(self.columns, _TYPECODES, chunk):
+            column += array.array(code, values)  # in place
+        self.generated += len(records)
+
+    def view(self, n: int) -> Trace:
+        """The first ``n`` instructions as a trace, predecode included."""
+        program = self.sim.program
+        n = max(0, min(n, self.generated))
+        lists = [array.array(code, column[:8 * n]).tolist()
+                 for column, code in zip(self.columns, _TYPECODES)]
+        trace = Trace(decode_records(program.instructions, lists,
+                                     lists[11], lists[12]),
+                      name=program.name,
+                      halted=self.sim.halted and n == self.generated,
+                      initial_memory=program.data.values)
+        trace._kernel_columns = TraceColumns.from_lists(trace.records,
+                                                        lists[:11])
+        return trace
+
+
+class TraceStore:
+    """Every length of a benchmark's trace, served as a prefix of one
+    growing trace per benchmark.
+
+    An entry keeps a resumable simulator and the instructions it has
+    retired as packed ``bytearray`` columns.  A bytearray is not a GC
+    container (unlike a list, or an ``array.array`` on CPython 3.10+), so
+    a resident trace adds nothing to a full collection's walk.  At most
+    ``budget`` instructions stay resident across entries: the least
+    recently used benchmarks are evicted after each request, and a trace
+    longer than the budget is served but not kept.  Each request builds
+    a fresh :class:`Trace` view; a repeat of the most recent request
+    returns the same view.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._entries: "collections.OrderedDict[str, _Entry]" = (
+            collections.OrderedDict())
+        self._last: Optional[Tuple[str, int, Trace]] = None
+        self._lock = threading.Lock()
+
+    def resident(self) -> int:
+        """Instructions held across all entries."""
+        return sum(entry.generated for entry in self._entries.values())
+
+    def trace(self, name: str, n: int) -> Trace:
+        with self._lock:
+            last = self._last
+            if last is not None and last[:2] == (name, n):
+                return last[2]
+            entry = self._entries.pop(name, None)
+            if entry is None:
+                entry = _Entry(build_benchmark(name))
+            self._entries[name] = entry
+            if n > entry.generated and not entry.sim.halted:
+                try:
+                    entry.extend(n)
+                except BaseException:  # the simulator stopped mid-run
+                    del self._entries[name]
+                    raise
+            view = entry.view(n)
+            if entry.generated > self.budget:
+                del self._entries[name]
+            resident = self.resident()
+            while resident > self.budget:
+                resident -= self._entries.popitem(last=False)[1].generated
+            self._last = (name, n, view)
+            return view
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._last = None
+
+
+#: Resident budget: three full-length traces.
+_STORE = TraceStore(3 * DEFAULT_TRACE_LENGTH)
+
+
 def benchmark_trace(name: str,
                     max_instructions: int = DEFAULT_TRACE_LENGTH) -> Trace:
-    """Run (and LRU-cache) a benchmark's retirement trace."""
-    global _TRACE_CACHE
-    if _TRACE_CACHE is None:
-        _TRACE_CACHE = collections.OrderedDict()
-    key = (name, max_instructions)
-    if key in _TRACE_CACHE:
-        _TRACE_CACHE.move_to_end(key)
-        return _TRACE_CACHE[key]
-    trace = run_program(build_benchmark(name), max_instructions=max_instructions)
-    _TRACE_CACHE[key] = trace
-    while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
-        _TRACE_CACHE.popitem(last=False)
-    return trace
+    """A benchmark's retirement trace of ``max_instructions``, served
+    from the per-process trace store."""
+    return _STORE.trace(name, max_instructions)
 
 
 def clear_trace_cache() -> None:
-    """Drop cached traces and programs (used by tests)."""
-    if _TRACE_CACHE is not None:
-        _TRACE_CACHE.clear()
+    """Drop stored traces and cached programs (used by tests)."""
+    _STORE.clear()
     _PROGRAM_CACHE.clear()

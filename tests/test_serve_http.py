@@ -98,7 +98,7 @@ def test_health_and_stats(server):
     assert server.request("GET", "/v1/healthz") == (200, {"ok": True})
     status, stats = server.request("GET", "/v1/stats")
     assert status == 200
-    assert set(stats) >= {"store", "queue", "scheduled_jobs", "shards_run"}
+    assert set(stats) >= {"store", "queue", "shards_run"}
 
 
 def test_submit_poll_result_roundtrip(server):

@@ -166,6 +166,19 @@ class TestSimulatorMechanics:
         trace = run("li r1, 1\nli r2, 2\nhalt")
         assert [r.seq for r in trace] == [0, 1, 2]
 
+    def test_resumed_run_continues_the_stream(self):
+        src = "li r1, 0\nli r2, 9\nloop:\naddi r1, r1, 1\nblt r1, r2, loop\nhalt"
+        sim = FunctionalSimulator(assemble(src))
+        head, tail = sim.run(7), sim.run(15)
+        whole = run(src, max_instructions=15)
+        resumed = head.records + tail.records
+        assert [r.seq for r in resumed] == list(range(15))
+        assert ([(r.pc, r.src1_val, r.result, r.taken) for r in resumed]
+                == [(r.pc, r.src1_val, r.result, r.taken) for r in whole])
+        assert not tail.halted
+        assert len(sim.run(100)) == 21 - 15 and sim.halted
+        assert len(sim.run(200)) == 0
+
     def test_sp_initialised(self):
         sim = FunctionalSimulator(assemble("halt"))
         assert sim.regs[29] == DEFAULT_SP

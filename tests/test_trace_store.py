@@ -5,6 +5,7 @@ equal a fresh ``run_program`` of the same length: record for record,
 in ``halted``, in the data-segment image and in its predecoded columns.
 """
 
+import gc
 import random
 
 import pytest
@@ -106,3 +107,33 @@ def test_clear_resets_the_store():
     after = benchmark_trace("gcc", 1200)
     assert after is not before
     assert_same_trace(after, run_program(build_benchmark("gcc"), 1200))
+
+
+def test_resident_instructions_stay_within_the_budget(monkeypatch):
+    store = suite.TraceStore(budget=5000)
+    monkeypatch.setattr(suite, "_STORE", store)
+    for name, n in [("comp", 2000), ("gcc", 2000), ("go", 2000),
+                    ("comp", 1000), ("li", 3000), ("gcc", 6000),
+                    ("perl", 2500), ("perl", 4000)]:
+        trace = benchmark_trace(name, n)
+        assert store.resident() <= store.budget
+        assert len(trace) == n
+    # ``perl`` is the only benchmark left; the oversized ``gcc`` request
+    # was served without being kept
+    assert list(store._entries) == ["perl"]
+    assert_same_trace(benchmark_trace("gcc", 6000),
+                      run_program(build_benchmark("gcc"), 6000))
+    assert store.resident() == 4000
+
+
+def test_resident_columns_are_not_gc_tracked():
+    # Typed arrays are not GC containers: a store of lists or records
+    # would add every resident instruction to each full collection.
+    for name in ("comp", "mcf_2k"):
+        benchmark_trace(name, 1500)
+    entries = list(suite._STORE._entries.values())
+    assert len(entries) == 2
+    for entry in entries:
+        assert len(entry.columns) == 13
+        for column in entry.columns:
+            assert gc.is_tracked(column) is False
