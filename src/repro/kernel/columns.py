@@ -14,16 +14,16 @@ per instruction.
 
 Predecode output is memoized on the trace object, so repeated runs over
 the same trace (sweep points, benchmark rounds) pay the predecode walk
-once.  The benchmark trace store (:mod:`repro.workloads.suite`) keeps
-predecoded columns instead of records and rebuilds a trace's records
-with :func:`decode_records`, the inverse of the predecode walk.
+once.  :class:`PackedColumns` keeps the trace store's columns packed
+(:mod:`repro.workloads.suite`) and rebuilds traces from them.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import array
+from typing import List, Tuple
 
-from repro.isa.instructions import Instruction
+from repro.isa.program import Program
 from repro.sim.trace import DynamicInstruction, Trace
 
 # -- per-instruction classification bitmask ---------------------------------
@@ -122,38 +122,63 @@ class TraceColumns:
         self.result = result
         self.next_pc = next_pc
 
-    @classmethod
-    def from_lists(cls, records: List[DynamicInstruction],
-                   lists: Sequence[List[int]]) -> "TraceColumns":
-        """Columns already decoded from ``records``, given in
-        :data:`COLUMN_NAMES` order."""
-        columns = cls.__new__(cls)
-        columns.records = records
-        columns.n = len(records)
-        for name, column in zip(COLUMN_NAMES, lists):
-            setattr(columns, name, column)
-        return columns
-
     def lists(self) -> Tuple[List[int], ...]:
         """Every column, in :data:`COLUMN_NAMES` order (the simulation
         loop's working set)."""
         return tuple(getattr(self, name) for name in COLUMN_NAMES)
 
 
-def decode_records(instructions: Sequence[Instruction],
-                   lists: Sequence[List[int]], src1_val: Sequence[int],
-                   src2_val: Sequence[int]) -> List[DynamicInstruction]:
-    """The inverse of predecode: the records that ``lists`` (in
-    :data:`COLUMN_NAMES` order) were decoded from, given the program's
-    instructions and the two source-value columns predecode drops."""
-    flags, pc, ea, result, next_pc = (lists[0], lists[1], lists[8],
-                                      lists[9], lists[10])
-    return [
-        DynamicInstruction(seq, instructions[p], a, b, r,
-                           e if f & HAS_EA else None, bool(f & IS_TAKEN), t)
-        for seq, (f, p, a, b, r, e, t) in enumerate(
-            zip(flags, pc, src1_val, src2_val, result, ea, next_pc))
-    ]
+class PackedColumns:
+    """The columns of a growing trace, packed in bytes.
+
+    One ``bytearray`` per :data:`COLUMN_NAMES` column, plus ``src1_val``
+    and ``src2_val``, the record fields predecode drops.  Unlike lists
+    (or ``array.array`` on CPython 3.10+), bytearrays are not GC
+    containers, so packed columns add nothing to a full collection.
+    """
+
+    #: ``array`` typecode per column; unsigned for 64-bit patterns
+    TYPECODES = "qqqqqqqqQQQQQ"
+
+    __slots__ = ("columns", "n")
+
+    def __init__(self) -> None:
+        self.columns = tuple(bytearray() for _ in self.TYPECODES)
+        self.n = 0
+
+    def append(self, columns: TraceColumns) -> None:
+        """Pack the predecoded chunk ``columns`` onto the end."""
+        records = columns.records
+        chunk = columns.lists() + ([rec.src1_val for rec in records],
+                                   [rec.src2_val for rec in records])
+        for packed, code, values in zip(self.columns, self.TYPECODES, chunk):
+            packed += array.array(code, values)  # in place
+        self.n += columns.n
+
+    def trace(self, n: int, program: Program, halted: bool) -> Trace:
+        """The first ``n`` (at most :attr:`n`) instructions of
+        ``program``'s trace, records rebuilt by inverting predecode and
+        the predecode memo filled."""
+        lists = [array.array(code, packed[:8 * n]).tolist()
+                 for packed, code in zip(self.columns, self.TYPECODES)]
+        flags, pc, ea, result, next_pc = (lists[0], lists[1], lists[8],
+                                          lists[9], lists[10])
+        instructions = program.instructions
+        trace = Trace([
+            DynamicInstruction(seq, instructions[p], a, b, r,
+                               e if f & HAS_EA else None, bool(f & IS_TAKEN),
+                               t)
+            for seq, (f, p, a, b, r, e, t) in enumerate(
+                zip(flags, pc, lists[11], lists[12], result, ea, next_pc))
+        ], name=program.name, halted=halted,
+            initial_memory=program.data.values)
+        columns = TraceColumns.__new__(TraceColumns)
+        columns.records = trace.records
+        columns.n = n
+        for name, column in zip(COLUMN_NAMES, lists):
+            setattr(columns, name, column)
+        trace._kernel_columns = columns
+        return trace
 
 
 def predecode(trace: Trace) -> TraceColumns:

@@ -46,10 +46,6 @@ class FunctionalSimulator:
         The linked program to run.
     max_instructions:
         Hard budget; execution stops (without error) when exhausted.
-
-    The simulator is resumable: a later :meth:`run` with a larger budget
-    continues from the saved ``pc``, registers and memory, numbering
-    ``seq`` on from where the last run stopped.
     """
 
     def __init__(self, program: Program, max_instructions: int = 200_000):
@@ -64,9 +60,10 @@ class FunctionalSimulator:
         self.retired = 0
 
     def run(self, max_instructions: Optional[int] = None) -> Trace:
-        """Run to ``HALT`` or until ``max_instructions`` (default: the
-        constructor's budget) have retired in total; return the trace of
-        the instructions this call retired.  Its ``initial_memory`` is
+        """Run on from where the last run stopped (``pc``, registers,
+        memory and ``seq``) to ``HALT`` or until ``max_instructions``
+        (default: the constructor's budget) have retired in total; return
+        the trace of this call's instructions.  Its ``initial_memory`` is
         the program's data segment itself, shared and never written."""
         records: List[DynamicInstruction] = []
         append = records.append

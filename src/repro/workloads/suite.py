@@ -13,13 +13,12 @@ magnitude shorter); the *shape* across n, T and benchmarks is the target.
 
 from __future__ import annotations
 
-import array
 import collections
 import threading
 from typing import Dict, Optional, Tuple
 
 from repro.isa.program import Program
-from repro.kernel.columns import TraceColumns, decode_records
+from repro.kernel.columns import PackedColumns, predecode
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.trace import Trace
 from repro.workloads.generator import generate_program
@@ -180,11 +179,6 @@ BENCHMARK_NAMES: Tuple[str, ...] = tuple(_SPECS.keys())
 
 _PROGRAM_CACHE: Dict[str, Program] = {}
 
-#: How a store entry packs its columns (:data:`~repro.kernel.columns.
-#: COLUMN_NAMES`, then ``src1_val`` and ``src2_val``): ``array`` typecodes,
-#: unsigned where the value is a 64-bit pattern, 8 bytes an item.
-_TYPECODES = "qqqqqqqqQQQQQ"
-
 
 def benchmark_spec(name: str) -> WorkloadSpec:
     """Return the :class:`WorkloadSpec` for a named suite benchmark."""
@@ -201,97 +195,87 @@ def build_benchmark(name: str) -> Program:
 
 
 class _Entry:
-    """One benchmark's simulator and the predecoded columns of every
-    instruction it has retired so far."""
+    """A benchmark's simulator, the packed columns of what it retired,
+    and its first trace until that is packed."""
 
-    __slots__ = ("sim", "columns", "generated")
+    __slots__ = ("sim", "packed", "unpacked")
 
     def __init__(self, program: Program):
         self.sim = FunctionalSimulator(program)
-        self.columns = tuple(bytearray() for _ in _TYPECODES)
-        self.generated = 0
+        self.packed = PackedColumns()
+        self.unpacked: Optional[Trace] = None
 
-    def extend(self, n: int) -> None:
-        """Simulate on to ``n`` instructions; predecode and append them."""
-        trace = self.sim.run(n)
-        records = trace.records
-        chunk = TraceColumns(trace).lists() + (
-            [rec.src1_val for rec in records],
-            [rec.src2_val for rec in records])
-        for column, code, values in zip(self.columns, _TYPECODES, chunk):
-            column += array.array(code, values)  # in place
-        self.generated += len(records)
-
-    def view(self, n: int) -> Trace:
-        """The first ``n`` instructions as a trace, predecode included."""
-        program = self.sim.program
-        n = max(0, min(n, self.generated))
-        lists = [array.array(code, column[:8 * n]).tolist()
-                 for column, code in zip(self.columns, _TYPECODES)]
-        trace = Trace(decode_records(program.instructions, lists,
-                                     lists[11], lists[12]),
-                      name=program.name,
-                      halted=self.sim.halted and n == self.generated,
-                      initial_memory=program.data.values)
-        trace._kernel_columns = TraceColumns.from_lists(trace.records,
-                                                        lists[:11])
-        return trace
+    def pack(self) -> None:
+        if self.unpacked is not None:
+            self.packed.append(predecode(self.unpacked))
+            self.unpacked = None
 
 
 class TraceStore:
     """Every length of a benchmark's trace, served as a prefix of one
     growing trace per benchmark.
 
-    An entry keeps a resumable simulator and the instructions it has
-    retired as packed ``bytearray`` columns.  A bytearray is not a GC
-    container (unlike a list, or an ``array.array`` on CPython 3.10+), so
-    a resident trace adds nothing to a full collection's walk.  At most
-    ``budget`` instructions stay resident across entries: the least
-    recently used benchmarks are evicted after each request, and a trace
-    longer than the budget is served but not kept.  Each request builds
-    a fresh :class:`Trace` view; a repeat of the most recent request
-    returns the same view.
+    A benchmark's first request gets the simulator's own trace; later
+    ones grow the entry if needed and get a view of its packed columns,
+    which the GC does not walk.  The last :data:`VIEWS_KEPT` traces are
+    kept by ``(name, n)`` and served again as the same object.  A first
+    trace is packed only when its entry is used again or the trace
+    leaves the kept ones, so a one-shot run packs nothing.  Entries hold
+    at most ``budget`` instructions, least recently used evicted first;
+    a longer trace is served but not kept.
     """
+
+    #: traces kept whole (records and predecode lists) for repeats
+    VIEWS_KEPT = 3
 
     def __init__(self, budget: int):
         self.budget = budget
         self._entries: "collections.OrderedDict[str, _Entry]" = (
             collections.OrderedDict())
-        self._last: Optional[Tuple[str, int, Trace]] = None
+        self._views: "collections.OrderedDict[Tuple[str, int], Trace]" = (
+            collections.OrderedDict())
         self._lock = threading.Lock()
 
     def resident(self) -> int:
         """Instructions held across all entries."""
-        return sum(entry.generated for entry in self._entries.values())
+        return sum(entry.sim.retired for entry in self._entries.values())
 
     def trace(self, name: str, n: int) -> Trace:
+        key = (name, n)
         with self._lock:
-            last = self._last
-            if last is not None and last[:2] == (name, n):
-                return last[2]
-            entry = self._entries.pop(name, None)
-            if entry is None:
-                entry = _Entry(build_benchmark(name))
-            self._entries[name] = entry
-            if n > entry.generated and not entry.sim.halted:
-                try:
-                    entry.extend(n)
-                except BaseException:  # the simulator stopped mid-run
-                    del self._entries[name]
-                    raise
-            view = entry.view(n)
-            if entry.generated > self.budget:
-                del self._entries[name]
+            view = self._views.get(key)
+            if view is not None:
+                self._views.move_to_end(key)
+                return view
+            entry = (self._entries.pop(name, None)
+                     or _Entry(build_benchmark(name)))
+            sim, packed = entry.sim, entry.packed
+            if sim.retired == 0 and n > 0:
+                view = entry.unpacked = sim.run(n)
+            else:
+                entry.pack()
+                if n > packed.n and not sim.halted:
+                    packed.append(predecode(sim.run(n)))
+                n = max(0, min(n, packed.n))
+                view = packed.trace(n, sim.program,
+                                    halted=sim.halted and n == packed.n)
+            if sim.retired <= self.budget:
+                self._entries[name] = entry
             resident = self.resident()
             while resident > self.budget:
-                resident -= self._entries.popitem(last=False)[1].generated
-            self._last = (name, n, view)
+                resident -= self._entries.popitem(last=False)[1].sim.retired
+            self._views[key] = view
+            if len(self._views) > self.VIEWS_KEPT:
+                (old_name, _), old_view = self._views.popitem(last=False)
+                old = self._entries.get(old_name)
+                if old is not None and old.unpacked is old_view:
+                    old.pack()
             return view
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._last = None
+            self._views.clear()
 
 
 #: Resident budget: three full-length traces.

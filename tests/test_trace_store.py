@@ -101,6 +101,43 @@ def test_repeated_request_returns_the_same_trace():
     assert predecode(benchmark_trace("comp", 1500)) is predecode(first)
 
 
+def test_small_grid_tasks_share_one_trace_per_point():
+    # A sweep runs benchmarks in its inner loop: with up to three
+    # benchmarks every task of a point gets the same trace object.
+    names = ("comp", "gcc", "go")
+    first = {name: benchmark_trace(name, 1500) for name in names}
+    for _ in range(2):
+        for name in names:
+            assert benchmark_trace(name, 1500) is first[name]
+
+
+def test_first_request_decodes_nothing(monkeypatch):
+    # A benchmark started from instruction 0 is served the simulator's
+    # own trace, neither packed nor predecoded; only later prefixes are
+    # rebuilt from the packed columns.
+    def refuse(*args, **kwargs):
+        raise AssertionError("packed or decoded a trace just simulated")
+
+    monkeypatch.setattr(suite.PackedColumns, "append", refuse)
+    monkeypatch.setattr(suite.PackedColumns, "trace", refuse)
+    trace = benchmark_trace("mcf_2k", 1500)
+    assert getattr(trace, "_kernel_columns", None) is None
+    assert_same_trace(trace, run_program(build_benchmark("mcf_2k"), 1500))
+
+
+def test_first_trace_is_packed_once_no_longer_kept():
+    # Until then the store holds it only as the served trace itself;
+    # afterwards only its packed columns stay resident.
+    first = benchmark_trace("comp", 1500)
+    entry = suite._STORE._entries["comp"]
+    assert entry.unpacked is first and entry.packed.n == 0
+    for name in ("gcc", "go", "li"):
+        benchmark_trace(name, 1000)
+    assert entry.unpacked is None and entry.packed.n == 1500
+    assert_same_trace(benchmark_trace("comp", 1500),
+                      run_program(build_benchmark("comp"), 1500))
+
+
 def test_clear_resets_the_store():
     before = benchmark_trace("gcc", 1200)
     clear_trace_cache()
@@ -131,9 +168,12 @@ def test_resident_columns_are_not_gc_tracked():
     # would add every resident instruction to each full collection.
     for name in ("comp", "mcf_2k"):
         benchmark_trace(name, 1500)
+        benchmark_trace(name, 1000)
     entries = list(suite._STORE._entries.values())
     assert len(entries) == 2
     for entry in entries:
-        assert len(entry.columns) == 13
-        for column in entry.columns:
+        assert entry.unpacked is None
+        assert entry.packed.n == 1500
+        assert len(entry.packed.columns) == 13
+        for column in entry.packed.columns:
             assert gc.is_tracked(column) is False
