@@ -4,10 +4,14 @@ Task keys index every on-disk result cache and every served job, and
 result payloads are the cached artifact, so both must stay byte-stable
 across refactors that claim to change no simulation.  This module pins
 literal keys and payload digests for one point of every task shape:
-the four kinds on gcc/2000, a predictor-zoo point, a sampled point and
-a scaled-width point, plus one digest over the baseline and SSMT keys
-of every suite benchmark (each key hashes its benchmark's whole
-``WorkloadSpec``).
+the four kinds on gcc/2000, one point per predictor-zoo scheme, a
+sampled point and a scaled-width point.  The ``suite`` entry covers the
+mechanism itself: the baseline and SSMT points of all 20 benchmarks at
+20,000 instructions under a fast-training config that spawns
+microthreads on every one of them.  A list entry pins one digest over
+its keys and one over its payloads.  One more digest covers the
+baseline and SSMT keys of every suite benchmark at 2000 instructions
+(each key hashes its benchmark's whole ``WorkloadSpec``).
 
 A change that moves any literal here either changes simulator semantics
 (bump ``CODE_SCHEMA_VERSION`` and re-pin) or is a bug.
@@ -21,6 +25,7 @@ import pickle
 import pytest
 
 from repro.branch.zoo.config import PredictorConfig
+from repro.core.ssmt import SSMTConfig
 from repro.kernel.sampling import SampleSpec
 from repro.parallel.sweep import build_grid
 from repro.parallel.taskkey import SweepTask
@@ -35,6 +40,25 @@ def _widths_point() -> SweepTask:
     return task
 
 
+#: fast training and a low difficulty threshold, so every benchmark
+#: promotes paths and spawns microthreads within 20,000 instructions
+SUITE_CONFIG = SSMTConfig(n=4, training_interval=4, build_latency=20,
+                          difficulty_threshold=0.05)
+
+
+def _suite_points():
+    """Baseline and SSMT of every suite benchmark, in suite order."""
+    return [SweepTask(kind=kind, benchmark=name, instructions=20_000,
+                      config=SUITE_CONFIG if kind == "ssmt" else None)
+            for name in BENCHMARK_NAMES for kind in ("baseline", "ssmt")]
+
+
+def _zoo_point(scheme):
+    return lambda: SweepTask(kind="ssmt", benchmark="gcc",
+                             instructions=2000,
+                             predictor=PredictorConfig(scheme=scheme))
+
+
 CORPUS = {
     "ssmt": lambda: SweepTask(kind="ssmt", benchmark="gcc",
                               instructions=2000),
@@ -44,17 +68,23 @@ CORPUS = {
                                 instructions=2000),
     "potential": lambda: SweepTask(kind="potential", benchmark="gcc",
                                    instructions=2000),
-    "zoo": lambda: SweepTask(kind="ssmt", benchmark="gcc",
-                             instructions=2000,
-                             predictor=PredictorConfig(scheme="tage")),
+    "zoo": _zoo_point("tage"),
+    "zoo_bimodal": _zoo_point("bimodal"),
+    "zoo_gshare": _zoo_point("gshare"),
+    "zoo_pas": _zoo_point("pas"),
+    "zoo_perceptron": _zoo_point("perceptron"),
+    "zoo_h2p": _zoo_point("h2p"),
     "sampled": lambda: SweepTask(kind="ssmt", benchmark="gcc",
                                  instructions=2000,
                                  sample=SampleSpec(interval=1000,
                                                    warmup=200)),
     "widths": _widths_point,
+    "suite": _suite_points,
 }
 
-#: name -> (task key, sha256 of the sorted-key JSON payload)
+#: name -> (task key, sha256 of the sorted-key JSON payload); a list
+#: entry pins a digest over its newline-joined keys and one over the
+#: JSON list of its payloads
 PINNED = {
     "baseline": ("7f8eb03189ed4e78406912ad18359dd0134ef80c7e4c84bda0f0766a8c95e64d",
                  "360f2615a2a914be11d21919b3d31db40dfef227013f5683e7f5f98815d972c2"),
@@ -64,12 +94,24 @@ PINNED = {
                   "a26b8f00a34132b41a04a4207f3e58cadbe1a367225149fd43718838751dda6f"),
     "sampled": ("54b49d84249069d5ea234836b216b4167c5a22dfd78fa7a6b01e4de227c1e392",
                 "9c8dd9688e2fb63058f4020a411cb388304cc422cbd76078a68f9e4c19e0ecbb"),
+    "suite": ("b425bfe2ede173f6ca1c3d707e3673e61874f05fe98779a70114816260753eb7",
+              "d7f74d02f48220c976abc99107a29a61ddb52b19e008bf7346bd86b9250fb917"),
     "ssmt": ("86f3287a42761f272fc3da6930b9248eb2f5b8acea06a98130560dd234b71440",
              "e662e6ac2f42f5ed8c23c84d80ea1a8bf195d826886be80d85030f18db35b9a5"),
     "widths": ("1ce1f4897f0081326e9d33c3051ae20896d208aa448f7d526cf27b7a62f9b3b2",
                "c3fbe1edfb39fab4966985849bc618bc02e7e6fb5149fdc4ff06b472b33cbd4b"),
     "zoo": ("c37e38c13cac5af982b1e4ef180526c88a70991af6242ad1b025922d9a02a0cd",
             "5cf743bb8744c84ce429011c3f5072b51afaf209ff86e45049015849905700fb"),
+    "zoo_bimodal": ("8454858fcac29c460ca6ced56b57097e1e33fd9c41f1c6266182b8c0e1d3367f",
+                    "1f1200fce6246f01dd7331795f6450c67a437aacf418d25d0a326bf764603ca8"),
+    "zoo_gshare": ("d8cc81644c63a3a594bbf747b3b8123843875834cb656b0df0477d683b9b5a88",
+                   "cd02dc19c27deeed83cbc8c6cdb718a62ac74aab63cc8cf1df67f0a71976206b"),
+    "zoo_h2p": ("8c84924eead21f30797627a14246d06e59287fd237c8bd2f8d04be29430cdc07",
+                "0d231ccaeff7c7f57596f9b7c265afa655814a5fb9752e34caec0419ba2ec008"),
+    "zoo_pas": ("dc5439674c34766203c29dd1d2acb53b701bd1e796943a6ccbfc9eb0f7ffe999",
+                "ab0c912e859c5527c749d2d6d16e179644ca124cae1863b8f575c91b7a70bf97"),
+    "zoo_perceptron": ("556759d96bd6c437fd1ebca166985ab9ef401cc35574330064b36a4e82b21964",
+                       "604b57bfeb2a4210944cb472a68e7ef05fc0ac48d22724eba120d623322e62d6"),
 }
 
 #: SHA-256 over the newline-joined ``baseline`` and ``ssmt`` keys of all
@@ -78,17 +120,36 @@ SUITE_KEYS_DIGEST = (
     "c9e9862d634e240453ee19483618f712f6f66ce2b7ba08720be91f709e96bf3e")
 
 
+def _tasks(name):
+    point = CORPUS[name]()
+    return point if isinstance(point, list) else [point]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def corpus_key(tasks):
+    """A task's key, or a digest over a list entry's keys."""
+    keys = [task.key for task in tasks]
+    return keys[0] if len(keys) == 1 else _sha256("\n".join(keys))
+
+
+def payload_digest(name):
+    """SHA-256 of the sorted-key JSON payload (a list for a list entry)."""
+    payloads = [run_task(task) for task in _tasks(name)]
+    return _sha256(json.dumps(payloads[0] if len(payloads) == 1
+                              else payloads, sort_keys=True))
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_task_key_pinned(name):
-    assert CORPUS[name]().key == PINNED[name][0]
+    assert corpus_key(_tasks(name)) == PINNED[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_payload_digest_pinned(name):
-    payload = run_task(CORPUS[name]())
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-    assert digest == PINNED[name][1]
+    assert payload_digest(name) == PINNED[name][1]
 
 
 def test_suite_keys_digest_pinned():
@@ -102,10 +163,10 @@ def test_suite_keys_digest_pinned():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_key_survives_pickling(name):
     """Process-pool workers receive tasks pickled; the key must not move."""
-    task = CORPUS[name]()
-    clone = pickle.loads(pickle.dumps(task))
-    assert clone == task
-    assert clone.key == task.key == PINNED[name][0]
+    tasks = _tasks(name)
+    clones = [pickle.loads(pickle.dumps(task)) for task in tasks]
+    assert clones == tasks
+    assert corpus_key(clones) == corpus_key(tasks) == PINNED[name][0]
 
 
 def test_replace_gets_a_fresh_key():
