@@ -13,8 +13,14 @@ its keys and one over its payloads.  One more digest covers the
 baseline and SSMT keys of every suite benchmark at 2000 instructions
 (each key hashes its benchmark's whole ``WorkloadSpec``).
 
-A change that moves any literal here either changes simulator semantics
-(bump ``CODE_SCHEMA_VERSION`` and re-pin) or is a bug.
+This is the payload gate behind ``CODE_SCHEMA_VERSION``, the version
+every task key hashes (``docs/lint.md``).  The tables are keyed by the
+version they were pinned under, and the tests read the running
+version's table, so two things fail: a key or digest that moves while
+the version stays, and a version bump that adds no table.  A change
+that moves a literal here either changes simulator semantics (bump the
+version and add its table; ``PYTHONPATH=src python -m
+tests.test_taskkey_corpus`` prints one) or is a bug.
 """
 
 import dataclasses
@@ -30,6 +36,7 @@ from repro.kernel.sampling import SampleSpec
 from repro.parallel.sweep import build_grid
 from repro.parallel.taskkey import SweepTask
 from repro.parallel.worker import run_task
+from repro.schemas import CODE_SCHEMA_VERSION
 from repro.workloads import BENCHMARK_NAMES
 
 
@@ -82,42 +89,55 @@ CORPUS = {
     "suite": _suite_points,
 }
 
-#: name -> (task key, sha256 of the sorted-key JSON payload); a list
-#: entry pins a digest over its newline-joined keys and one over the
-#: JSON list of its payloads
+#: CODE_SCHEMA_VERSION -> name -> (task key, sha256 of the sorted-key
+#: JSON payload).  A list entry pins a digest over its newline-joined
+#: keys and one over the JSON list of its payloads.
 PINNED = {
-    "baseline": ("7f8eb03189ed4e78406912ad18359dd0134ef80c7e4c84bda0f0766a8c95e64d",
-                 "360f2615a2a914be11d21919b3d31db40dfef227013f5683e7f5f98815d972c2"),
-    "oracle": ("a33680bbdd4ede5b8dc6585ba85bae133777397fbcf7d227b63b11a07640451d",
-               "5724533c51d87efefc4b31ca1ae2c672fcfcdd030043bd58bc5fda4b57e64e34"),
-    "potential": ("0d05506c392098e2b0984395c9451ed89a7f1438d99784562d323b6e19576e97",
-                  "a26b8f00a34132b41a04a4207f3e58cadbe1a367225149fd43718838751dda6f"),
-    "sampled": ("54b49d84249069d5ea234836b216b4167c5a22dfd78fa7a6b01e4de227c1e392",
-                "9c8dd9688e2fb63058f4020a411cb388304cc422cbd76078a68f9e4c19e0ecbb"),
-    "suite": ("b425bfe2ede173f6ca1c3d707e3673e61874f05fe98779a70114816260753eb7",
-              "d7f74d02f48220c976abc99107a29a61ddb52b19e008bf7346bd86b9250fb917"),
-    "ssmt": ("86f3287a42761f272fc3da6930b9248eb2f5b8acea06a98130560dd234b71440",
-             "e662e6ac2f42f5ed8c23c84d80ea1a8bf195d826886be80d85030f18db35b9a5"),
-    "widths": ("1ce1f4897f0081326e9d33c3051ae20896d208aa448f7d526cf27b7a62f9b3b2",
-               "c3fbe1edfb39fab4966985849bc618bc02e7e6fb5149fdc4ff06b472b33cbd4b"),
-    "zoo": ("c37e38c13cac5af982b1e4ef180526c88a70991af6242ad1b025922d9a02a0cd",
-            "5cf743bb8744c84ce429011c3f5072b51afaf209ff86e45049015849905700fb"),
-    "zoo_bimodal": ("8454858fcac29c460ca6ced56b57097e1e33fd9c41f1c6266182b8c0e1d3367f",
-                    "1f1200fce6246f01dd7331795f6450c67a437aacf418d25d0a326bf764603ca8"),
-    "zoo_gshare": ("d8cc81644c63a3a594bbf747b3b8123843875834cb656b0df0477d683b9b5a88",
-                   "cd02dc19c27deeed83cbc8c6cdb718a62ac74aab63cc8cf1df67f0a71976206b"),
-    "zoo_h2p": ("8c84924eead21f30797627a14246d06e59287fd237c8bd2f8d04be29430cdc07",
-                "0d231ccaeff7c7f57596f9b7c265afa655814a5fb9752e34caec0419ba2ec008"),
-    "zoo_pas": ("dc5439674c34766203c29dd1d2acb53b701bd1e796943a6ccbfc9eb0f7ffe999",
-                "ab0c912e859c5527c749d2d6d16e179644ca124cae1863b8f575c91b7a70bf97"),
-    "zoo_perceptron": ("556759d96bd6c437fd1ebca166985ab9ef401cc35574330064b36a4e82b21964",
-                       "604b57bfeb2a4210944cb472a68e7ef05fc0ac48d22724eba120d623322e62d6"),
+    3: {
+        "baseline": ("7f8eb03189ed4e78406912ad18359dd0134ef80c7e4c84bda0f0766a8c95e64d",
+                     "360f2615a2a914be11d21919b3d31db40dfef227013f5683e7f5f98815d972c2"),
+        "oracle": ("a33680bbdd4ede5b8dc6585ba85bae133777397fbcf7d227b63b11a07640451d",
+                   "5724533c51d87efefc4b31ca1ae2c672fcfcdd030043bd58bc5fda4b57e64e34"),
+        "potential": ("0d05506c392098e2b0984395c9451ed89a7f1438d99784562d323b6e19576e97",
+                      "a26b8f00a34132b41a04a4207f3e58cadbe1a367225149fd43718838751dda6f"),
+        "sampled": ("54b49d84249069d5ea234836b216b4167c5a22dfd78fa7a6b01e4de227c1e392",
+                    "9c8dd9688e2fb63058f4020a411cb388304cc422cbd76078a68f9e4c19e0ecbb"),
+        "suite": ("b425bfe2ede173f6ca1c3d707e3673e61874f05fe98779a70114816260753eb7",
+                  "d7f74d02f48220c976abc99107a29a61ddb52b19e008bf7346bd86b9250fb917"),
+        "ssmt": ("86f3287a42761f272fc3da6930b9248eb2f5b8acea06a98130560dd234b71440",
+                 "e662e6ac2f42f5ed8c23c84d80ea1a8bf195d826886be80d85030f18db35b9a5"),
+        "widths": ("1ce1f4897f0081326e9d33c3051ae20896d208aa448f7d526cf27b7a62f9b3b2",
+                   "c3fbe1edfb39fab4966985849bc618bc02e7e6fb5149fdc4ff06b472b33cbd4b"),
+        "zoo": ("c37e38c13cac5af982b1e4ef180526c88a70991af6242ad1b025922d9a02a0cd",
+                "5cf743bb8744c84ce429011c3f5072b51afaf209ff86e45049015849905700fb"),
+        "zoo_bimodal": ("8454858fcac29c460ca6ced56b57097e1e33fd9c41f1c6266182b8c0e1d3367f",
+                        "1f1200fce6246f01dd7331795f6450c67a437aacf418d25d0a326bf764603ca8"),
+        "zoo_gshare": ("d8cc81644c63a3a594bbf747b3b8123843875834cb656b0df0477d683b9b5a88",
+                       "cd02dc19c27deeed83cbc8c6cdb718a62ac74aab63cc8cf1df67f0a71976206b"),
+        "zoo_h2p": ("8c84924eead21f30797627a14246d06e59287fd237c8bd2f8d04be29430cdc07",
+                    "0d231ccaeff7c7f57596f9b7c265afa655814a5fb9752e34caec0419ba2ec008"),
+        "zoo_pas": ("dc5439674c34766203c29dd1d2acb53b701bd1e796943a6ccbfc9eb0f7ffe999",
+                    "ab0c912e859c5527c749d2d6d16e179644ca124cae1863b8f575c91b7a70bf97"),
+        "zoo_perceptron": ("556759d96bd6c437fd1ebca166985ab9ef401cc35574330064b36a4e82b21964",
+                           "604b57bfeb2a4210944cb472a68e7ef05fc0ac48d22724eba120d623322e62d6"),
+    },
 }
 
-#: SHA-256 over the newline-joined ``baseline`` and ``ssmt`` keys of all
-#: 20 suite benchmarks at 2000 instructions, in suite order.
-SUITE_KEYS_DIGEST = (
-    "c9e9862d634e240453ee19483618f712f6f66ce2b7ba08720be91f709e96bf3e")
+#: CODE_SCHEMA_VERSION -> SHA-256 over the newline-joined ``baseline``
+#: and ``ssmt`` keys of all 20 suite benchmarks at 2000 instructions, in
+#: suite order.
+SUITE_KEYS_DIGEST = {
+    3: "c9e9862d634e240453ee19483618f712f6f66ce2b7ba08720be91f709e96bf3e",
+}
+
+
+def pinned(table):
+    """``table``'s entry for the running ``CODE_SCHEMA_VERSION``."""
+    if CODE_SCHEMA_VERSION not in table:
+        pytest.fail(f"nothing is pinned under CODE_SCHEMA_VERSION "
+                    f"{CODE_SCHEMA_VERSION}: a version bump adds a table "
+                    f"for the new version")
+    return table[CODE_SCHEMA_VERSION]
 
 
 def _tasks(name):
@@ -144,20 +164,23 @@ def payload_digest(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_task_key_pinned(name):
-    assert corpus_key(_tasks(name)) == PINNED[name][0]
+    assert corpus_key(_tasks(name)) == pinned(PINNED)[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_payload_digest_pinned(name):
-    assert payload_digest(name) == PINNED[name][1]
+    assert payload_digest(name) == pinned(PINNED)[name][1]
 
 
-def test_suite_keys_digest_pinned():
+def suite_keys_digest():
     keys = [SweepTask(kind=kind, benchmark=name, instructions=2000).key
             for name in BENCHMARK_NAMES for kind in ("baseline", "ssmt")]
     assert len(set(keys)) == 40
-    digest = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
-    assert digest == SUITE_KEYS_DIGEST
+    return _sha256("\n".join(keys))
+
+
+def test_suite_keys_digest_pinned():
+    assert suite_keys_digest() == pinned(SUITE_KEYS_DIGEST)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -166,7 +189,8 @@ def test_key_survives_pickling(name):
     tasks = _tasks(name)
     clones = [pickle.loads(pickle.dumps(task)) for task in tasks]
     assert clones == tasks
-    assert corpus_key(clones) == corpus_key(tasks) == PINNED[name][0]
+    assert (corpus_key(clones) == corpus_key(tasks)
+            == pinned(PINNED)[name][0])
 
 
 def test_replace_gets_a_fresh_key():
@@ -188,3 +212,13 @@ def test_equality_and_hash_follow_the_fields():
     assert relabelled.key == a.key
     assert relabelled != a
     assert CORPUS["ssmt"]() == CORPUS["ssmt"]()
+
+
+if __name__ == "__main__":
+    # Print the table for the running version, ready to paste into PINNED.
+    print(f"    {CODE_SCHEMA_VERSION}: {{")
+    for name in sorted(CORPUS):
+        print(f"        {name!r}: ({corpus_key(_tasks(name))!r},")
+        print(f"            {payload_digest(name)!r}),")
+    print("    },")
+    print(f"SUITE_KEYS_DIGEST {CODE_SCHEMA_VERSION}: {suite_keys_digest()!r}")
