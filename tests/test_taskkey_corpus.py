@@ -4,14 +4,15 @@ Task keys index every on-disk result cache and every served job, and
 result payloads are the cached artifact, so both must stay byte-stable
 across refactors that claim to change no simulation.  This module pins
 literal keys and payload digests for one point of every task shape:
-the four kinds on gcc/2000, one point per predictor-zoo scheme, a
-sampled point and a scaled-width point.  The ``suite`` entry covers the
-mechanism itself: the baseline and SSMT points of all 20 benchmarks at
-20,000 instructions under a fast-training config that spawns
-microthreads on every one of them.  A list entry pins one digest over
-its keys and one over its payloads.  One more digest covers the
-baseline and SSMT keys of every suite benchmark at 2000 instructions
-(each key hashes its benchmark's whole ``WorkloadSpec``).
+the four kinds on gcc/2000, a predictor-zoo point, a sampled point and
+a scaled-width point.  The ``suite`` entry covers the mechanism itself:
+the baseline and SSMT points of all 20 benchmarks at 20,000
+instructions under a fast-training config that spawns microthreads on
+every one of them.  The ``zoo_*`` entries run gcc that way under each
+other zoo scheme.  A list entry pins one digest over its keys and one
+over its payloads.  One more digest covers the baseline and SSMT keys
+of every suite benchmark at 2000 instructions (each key hashes its
+benchmark's whole ``WorkloadSpec``).
 
 This is the payload gate behind ``CODE_SCHEMA_VERSION``, the version
 every task key hashes (``docs/lint.md``).  The tables are keyed by the
@@ -61,8 +62,10 @@ def _suite_points():
 
 
 def _zoo_point(scheme):
+    """gcc under one zoo scheme, long enough to spawn microthreads: at
+    2000 instructions a perceptron training-threshold edit goes unseen."""
     return lambda: SweepTask(kind="ssmt", benchmark="gcc",
-                             instructions=2000,
+                             instructions=20_000, config=SUITE_CONFIG,
                              predictor=PredictorConfig(scheme=scheme))
 
 
@@ -75,7 +78,9 @@ CORPUS = {
                                 instructions=2000),
     "potential": lambda: SweepTask(kind="potential", benchmark="gcc",
                                    instructions=2000),
-    "zoo": _zoo_point("tage"),
+    "zoo": lambda: SweepTask(kind="ssmt", benchmark="gcc",
+                             instructions=2000,
+                             predictor=PredictorConfig(scheme="tage")),
     "zoo_bimodal": _zoo_point("bimodal"),
     "zoo_gshare": _zoo_point("gshare"),
     "zoo_pas": _zoo_point("pas"),
@@ -110,16 +115,16 @@ PINNED = {
                    "c3fbe1edfb39fab4966985849bc618bc02e7e6fb5149fdc4ff06b472b33cbd4b"),
         "zoo": ("c37e38c13cac5af982b1e4ef180526c88a70991af6242ad1b025922d9a02a0cd",
                 "5cf743bb8744c84ce429011c3f5072b51afaf209ff86e45049015849905700fb"),
-        "zoo_bimodal": ("8454858fcac29c460ca6ced56b57097e1e33fd9c41f1c6266182b8c0e1d3367f",
-                        "1f1200fce6246f01dd7331795f6450c67a437aacf418d25d0a326bf764603ca8"),
-        "zoo_gshare": ("d8cc81644c63a3a594bbf747b3b8123843875834cb656b0df0477d683b9b5a88",
-                       "cd02dc19c27deeed83cbc8c6cdb718a62ac74aab63cc8cf1df67f0a71976206b"),
-        "zoo_h2p": ("8c84924eead21f30797627a14246d06e59287fd237c8bd2f8d04be29430cdc07",
-                    "0d231ccaeff7c7f57596f9b7c265afa655814a5fb9752e34caec0419ba2ec008"),
-        "zoo_pas": ("dc5439674c34766203c29dd1d2acb53b701bd1e796943a6ccbfc9eb0f7ffe999",
-                    "ab0c912e859c5527c749d2d6d16e179644ca124cae1863b8f575c91b7a70bf97"),
-        "zoo_perceptron": ("556759d96bd6c437fd1ebca166985ab9ef401cc35574330064b36a4e82b21964",
-                           "604b57bfeb2a4210944cb472a68e7ef05fc0ac48d22724eba120d623322e62d6"),
+        "zoo_bimodal": ("7d8ebf70067763bd6e5c994acb2930cf28e815a99ebc4bc1e649ea42edad4c53",
+                        "26a2e55aff28170b8317298be2b76b527408eb073f5f7d554787b8394532fffa"),
+        "zoo_gshare": ("7cbbaee8d846e39de985741eb10f2519d8eddf3f23cb72367d9b99e3607f5bac",
+                       "68056681a52268362b8ae96c11c77174a54594d27500112006c9115cb34415e6"),
+        "zoo_h2p": ("03b15d6bf9ec57437ef0c9e43e6dc98932270d604bf42ed537727eed9f60abf1",
+                    "b0b900d6a5cb0a7148372a5850422e8fecfb7f831717a67e6e2ab523811835d4"),
+        "zoo_pas": ("3e2a8af4d1439d1c1ba6af976310b86823d36fab42a855a6d9814195b24db0a3",
+                    "84f04334b707fea7cc0f4542b849729dc63dd0bc6655f1b095a5c3a002ff89f7"),
+        "zoo_perceptron": ("f3f64b60f6354ff6aeba11e05e7521fa43265682b77e72ca08117062a939e356",
+                           "c611d8512dd23dc0b1e411b15e0bc9b0a583da62f43e4c70e77839a0cb1ed6ab"),
     },
 }
 
