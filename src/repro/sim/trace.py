@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.isa.instructions import Instruction, Opcode
 
@@ -92,9 +92,10 @@ class Trace:
     instruction budget expired.
     """
 
-    def __init__(self, records: Iterable[DynamicInstruction], name: str = "trace",
+    def __init__(self, records: List[DynamicInstruction], name: str = "trace",
                  halted: bool = False, initial_memory: Optional[dict] = None):
-        self.records: List[DynamicInstruction] = list(records)
+        #: kept as passed, not copied: the caller hands over its list
+        self.records = records
         self.name = name
         self.halted = halted
         #: the data-segment image before the first instruction ran; the

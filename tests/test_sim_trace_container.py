@@ -81,3 +81,8 @@ class TestTraceContainer:
         trace = Trace([], name="empty")
         assert trace.initial_memory == {}
         assert len(trace) == 0
+
+    def test_records_list_kept_not_copied(self):
+        records = list(sample_trace())
+        trace = Trace(records, name="kept")
+        assert trace.records is records
