@@ -38,8 +38,7 @@
   ``--sanitize``, check runtime invariants); exits non-zero on errors
   so CI can gate on it,
 * ``lint`` — AST-based determinism / hot-path / schema-governance
-  analysis of the codebase itself, including the fingerprint drift gate
-  (``--update-manifest`` refreshes it; see ``docs/lint.md``); exits
+  analysis of the codebase itself (see ``docs/lint.md``); exits
   non-zero on errors so CI can gate on it,
 * ``serve`` — run the sweep service: an HTTP API over a journaled job
   queue that shards submitted grids across the sweep runner's worker
@@ -278,12 +277,7 @@ def cmd_lint(args) -> int:
                            title="Lint rules"))
         return 0
     engine = LintEngine(args.root, baseline_path=args.baseline,
-                        manifest_path=args.manifest,
                         rules=args.select or None)
-    if args.update_manifest:
-        count = engine.update_manifest()
-        print(f"wrote {engine.manifest_path} ({count} modules)")
-        return 0
     report = engine.run()
     if args.format == "json":
         print(report.to_json())
@@ -1026,13 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("--baseline", metavar="PATH",
                              help="suppression baseline (default: "
                                   "<root>/lint-baseline.json)")
-    lint_parser.add_argument("--manifest", metavar="PATH",
-                             help="fingerprint manifest (default: "
-                                  "<root>/lint-fingerprints.json)")
-    lint_parser.add_argument("--update-manifest", action="store_true",
-                             help="refresh the fingerprint manifest "
-                                  "instead of linting (the explicit "
-                                  "schema-drift acknowledgement)")
     lint_parser.add_argument("--rules", action="store_true",
                              help="list every lint rule id and exit")
 

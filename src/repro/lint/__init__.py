@@ -4,12 +4,16 @@ Three rule families guard the contracts earlier PRs established:
 
 * determinism (LINT001-005): modules feeding task keys and payloads
   must not read ambient state or depend on unordered iteration;
-* hot-path discipline (LINT010-013): the per-retire simulator core keeps
-  its ``__slots__`` / fused-predictor / guarded-hook shapes;
-* schema governance (LINT020-022): artifact markers come from
-  :data:`repro.schemas.SCHEMA_REGISTRY`, and payload-affecting modules
-  cannot change without a ``CODE_SCHEMA_VERSION`` bump or an explicit
-  fingerprint-manifest refresh.
+* hot-path discipline (LINT010-013): the per-retire simulator core and
+  the fused timing loop keep their ``__slots__`` / fused-predictor /
+  guarded-hook shapes;
+* schema governance (LINT020-021): artifact markers come from
+  :data:`repro.schemas.SCHEMA_REGISTRY`, and every registered marker is
+  documented.
+
+Payloads are guarded by the pinned corpora instead
+(``tests/test_taskkey_corpus.py``, ``tests/test_consumer_corpus.py``),
+keyed by ``CODE_SCHEMA_VERSION``.
 
 Entry points: the ``repro lint`` CLI subcommand, or programmatically
 :class:`~repro.lint.engine.LintEngine` /
@@ -18,11 +22,6 @@ Entry points: the ``repro lint`` CLI subcommand, or programmatically
 
 from repro.lint.baseline import BASELINE_NAME, BaselineEntry, load_baseline
 from repro.lint.engine import LintEngine, analyze_source
-from repro.lint.fingerprint import (
-    MANIFEST_NAME,
-    fingerprint_source,
-    normalize_source,
-)
 from repro.lint.report import LintReport
 from repro.lint.rules import LINT_RULES, Finding, severity_of
 
@@ -33,10 +32,7 @@ __all__ = [
     "LINT_RULES",
     "LintEngine",
     "LintReport",
-    "MANIFEST_NAME",
     "analyze_source",
-    "fingerprint_source",
     "load_baseline",
-    "normalize_source",
     "severity_of",
 ]

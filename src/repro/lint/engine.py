@@ -14,12 +14,10 @@ from typing import Iterable, List, Optional, Sequence
 from repro.lint.astutil import ModuleContext
 from repro.lint.baseline import BASELINE_NAME, apply_baseline, load_baseline
 from repro.lint.determinism import check_determinism
-from repro.lint.fingerprint import MANIFEST_NAME, drift_findings, write_manifest
 from repro.lint.hotpath import check_hotpath
 from repro.lint.report import LintReport
 from repro.lint.rules import Finding
 from repro.lint.schema import check_schema_docs, check_schema_literals
-from repro.schemas import CODE_SCHEMA_VERSION
 
 #: Per-module checkers, in reporting-family order.
 MODULE_CHECKS = (check_determinism, check_hotpath, check_schema_literals)
@@ -42,14 +40,11 @@ class LintEngine:
 
     def __init__(self, repo_root: str,
                  baseline_path: Optional[str] = None,
-                 manifest_path: Optional[str] = None,
                  rules: Optional[Sequence[str]] = None):
         self.repo_root = os.path.abspath(repo_root)
         self.src_root = os.path.join(self.repo_root, "src")
         self.baseline_path = baseline_path or os.path.join(
             self.repo_root, BASELINE_NAME)
-        self.manifest_path = manifest_path or os.path.join(
-            self.repo_root, MANIFEST_NAME)
         self.rules = tuple(rules) if rules else None
 
     # -- enumeration ------------------------------------------------------
@@ -76,7 +71,7 @@ class LintEngine:
 
     # -- the run ----------------------------------------------------------
 
-    def run(self, skip_drift: bool = False) -> LintReport:
+    def run(self) -> LintReport:
         raw: List[Finding] = []
         files = self.source_files()
         for rel in files:
@@ -88,9 +83,6 @@ class LintEngine:
             for check in MODULE_CHECKS:
                 raw.extend(check(ctx))
         raw.extend(check_schema_docs(self.repo_root))
-        if not skip_drift:
-            raw.extend(drift_findings(self.src_root, self.manifest_path,
-                                      CODE_SCHEMA_VERSION))
         raw = self._filter_rules(raw)
 
         entries, baseline_errors = load_baseline(self.baseline_path)
@@ -102,12 +94,6 @@ class LintEngine:
         return LintReport(findings=self._filter_rules(kept),
                           suppressed=suppressed,
                           files_checked=len(files))
-
-    def update_manifest(self) -> int:
-        """Refresh the fingerprint manifest; returns the module count."""
-        payload = write_manifest(self.manifest_path, self.src_root,
-                                 CODE_SCHEMA_VERSION)
-        return len(payload["fingerprints"])  # type: ignore[arg-type]
 
     def _filter_rules(self, findings: Iterable[Finding]) -> List[Finding]:
         if self.rules is None:

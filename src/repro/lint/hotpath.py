@@ -156,7 +156,7 @@ def _check_function_hooks(ctx: ModuleContext,
         if not _is_guarded(ctx, sub, attr, aliases):
             findings.append(_finding(
                 ctx, "LINT012", sub,
-                f"hook call self.{attr}.{sub.func.attr}() without an "
+                f"hook call {attr}.{sub.func.attr}() without an "
                 f"'is not None' fast-path guard",
                 "wrap in 'if self.%s is not None:' so the detached case "
                 "costs one identity test" % attr))
@@ -165,10 +165,11 @@ def _check_function_hooks(ctx: ModuleContext,
 
 def _hook_attr(node: ast.AST,
                aliases: Optional[Dict[str, str]] = None) -> Optional[str]:
-    """The hook attribute an expression refers to, if any."""
+    """The hook attribute an expression refers to, if any: ``self.hook``,
+    or ``engine.hook`` as the fused loop binds it."""
     if (isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id == "self" and node.attr in HOOK_ATTRS):
+            and node.attr in HOOK_ATTRS):
         return node.attr
     if aliases and isinstance(node, ast.Name):
         return aliases.get(node.id)

@@ -10,11 +10,10 @@ Three families:
   payloads, or canonical JSON must not read ambient state (RNG, clock,
   environment) or depend on unordered iteration;
 * **hot-path discipline** (LINT010-013) — the per-retire simulator core
-  must keep the shapes PR 5's profile-guided pass established;
-* **schema governance** (LINT020-022) — versioned artifact markers come
-  from :data:`repro.schemas.SCHEMA_REGISTRY`, and payload-affecting
-  modules cannot change without a ``CODE_SCHEMA_VERSION`` bump or an
-  explicit fingerprint-manifest refresh.
+  and the fused timing loop (:mod:`repro.kernel`) keep the shapes the
+  profile-guided pass established;
+* **schema governance** (LINT020-021) — versioned artifact markers come
+  from :data:`repro.schemas.SCHEMA_REGISTRY` and are documented.
 
 LINT030/031 govern the suppression baseline itself: every entry needs a
 justification, and entries that no longer match anything are reported so
@@ -62,10 +61,6 @@ LINT_RULES: Dict[str, str] = {
                "schema_string() instead)",
     "LINT021": "undocumented-schema: a registered schema marker is not "
                "mentioned anywhere in README.md or docs/",
-    "LINT022": "schema-drift: a payload-affecting module's AST "
-               "fingerprint changed without a CODE_SCHEMA_VERSION bump "
-               "or an explicit manifest refresh (repro lint "
-               "--update-manifest)",
     # -- baseline governance ----------------------------------------------
     "LINT030": "stale-baseline: a suppression baseline entry no longer "
                "matches any finding; delete it",
@@ -93,31 +88,21 @@ DETERMINISM_MODULES: Tuple[str, ...] = (
     "repro.parallel", "repro.sim", "repro.workloads",
 )
 
-#: Designated hot modules: the per-retire core PR 5 optimised
-#: (rules LINT010 and LINT012).
+#: Designated hot modules: the per-retire core and the fused timing
+#: loop (rules LINT010 and LINT012).
 HOT_MODULES: Tuple[str, ...] = (
-    "repro.core.ssmt", "repro.core.prb", "repro.core.path",
+    "repro.core.ssmt", "repro.core.prb", "repro.core.path", "repro.kernel",
 )
 
 #: Where the fused predict/update discipline applies (rule LINT011).
 FUSED_SCOPE: Tuple[str, ...] = (
-    "repro.branch", "repro.core", "repro.uarch",
+    "repro.branch", "repro.core", "repro.kernel", "repro.uarch",
 )
 
 #: Engine attributes that are observability hooks with an is-None
 #: fast path (rule LINT012).
 HOOK_ATTRS: Tuple[str, ...] = (
     "telemetry", "sanitizer", "event_log", "verifier",
-)
-
-#: Payload-affecting module prefixes (relative to ``src/``), fingerprinted
-#: by the schema-drift gate (rule LINT022): everything whose semantics
-#: flow into sweep-point payloads or task keys.
-PAYLOAD_PREFIXES: Tuple[str, ...] = (
-    "repro/core/", "repro/uarch/", "repro/branch/", "repro/workloads/",
-    "repro/sim/", "repro/valuepred/", "repro/isa/", "repro/kernel/",
-    "repro/parallel/worker.py", "repro/parallel/taskkey.py",
-    "repro/parallel/cache.py", "repro/schemas.py",
 )
 
 

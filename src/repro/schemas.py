@@ -14,9 +14,10 @@ declared its own string literal; this registry centralises them so that
 :data:`CODE_SCHEMA_VERSION` also lives here (re-exported by
 :mod:`repro.parallel.taskkey`, its historical home): it versions the
 *simulator semantics* that task keys hash over, and must be bumped
-whenever those semantics change — the ``repro lint`` schema-drift gate
-(rule LINT022) enforces the bump by fingerprinting every
-payload-affecting module.
+whenever those semantics change — the payload corpora
+(``tests/test_taskkey_corpus.py``, ``tests/test_consumer_corpus.py``)
+pin payload digests under the version they were taken at, so a digest
+that moves without a bump fails tier-1.
 
 This module is intentionally a leaf: it imports nothing from
 ``repro.*`` so that any module (telemetry, parallel, perf, lint) can
@@ -29,8 +30,8 @@ from typing import Any, Dict, Iterator, Tuple
 
 #: Bump on any change to simulation semantics or the point payload —
 #: cached results from an older version must never be served as current.
-#: The ``repro lint`` schema-drift gate cross-checks this against the
-#: committed AST-fingerprint manifest (``lint-fingerprints.json``).
+#: The payload corpora keep one pinned table per version, so a bump also
+#: adds the new version's table there.
 #:
 #: History: 2 — sweep tasks gained the ``predictor`` identity field and
 #: point payloads the matching ``predictor`` section (repro.zoo).
@@ -52,7 +53,6 @@ SCHEMA_REGISTRY: Dict[str, Dict[int, str]] = {
     "repro.arena": {1: "repro.analysis.arena"},
     "repro.perf": {1: "repro.perf.harness"},
     "repro.lint": {1: "repro.lint.report"},
-    "repro.lint.fingerprints": {1: "repro.lint.fingerprint"},
     "repro.lint.baseline": {1: "repro.lint.baseline"},
     "repro.obs": {1: "repro.obs.export"},
     "repro.obs.flight": {1: "repro.obs.flight"},
@@ -180,17 +180,6 @@ SCHEMA_INFO: Dict[str, Dict[str, Any]] = {
             "findings": "live findings (rule, severity, path, line, "
                         "symbol, message, hint)",
             "suppressed": "findings matched by the justified baseline",
-        },
-    },
-    "repro.lint.fingerprints": {
-        "description": ("AST-normalised fingerprint manifest of "
-                            "every payload-affecting module (the "
-                            "LINT022 schema-drift gate)."),
-        "fields": {
-            "code_schema_version": "CODE_SCHEMA_VERSION the manifest was "
-                                   "written at",
-            "fingerprints": "src-relative path -> SHA-256 of the "
-                            "normalised AST",
         },
     },
     "repro.lint.baseline": {

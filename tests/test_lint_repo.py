@@ -1,14 +1,11 @@
 """The repo lints itself: end-to-end runs of the LintEngine and CLI.
 
 These are the dogfood tests the CI ``lint-invariants`` job mirrors: the
-checked-in tree must be clean (modulo the justified baseline), and the
-drift gate must fire on a semantic edit to a payload-affecting module
-while staying quiet on a formatting-only edit.
+checked-in tree must be clean (modulo the justified baseline).
 """
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -92,53 +89,6 @@ def test_artifact_schemas_come_from_registry():
     assert PERF_SCHEMA == schema_string("repro.perf", 1)
 
 
-# -- drift-gate canary over a copied tree ----------------------------------
-
-@pytest.fixture()
-def repo_copy(tmp_path):
-    """A minimal copy of the checkout the gate can be run against."""
-    root = tmp_path / "repo"
-    shutil.copytree(os.path.join(REPO_ROOT, "src"), root / "src")
-    (root / "docs").mkdir()
-    for name in os.listdir(os.path.join(REPO_ROOT, "docs")):
-        if name.endswith(".md"):
-            shutil.copy(os.path.join(REPO_ROOT, "docs", name),
-                        root / "docs" / name)
-    shutil.copy(os.path.join(REPO_ROOT, "README.md"), root / "README.md")
-    shutil.copy(os.path.join(REPO_ROOT, "lint-baseline.json"),
-                root / "lint-baseline.json")
-    shutil.copy(os.path.join(REPO_ROOT, "lint-fingerprints.json"),
-                root / "lint-fingerprints.json")
-    return root
-
-
-def test_canary_semantic_edit_trips_gate(repo_copy):
-    assert LintEngine(str(repo_copy)).run().ok()
-    worker = repo_copy / "src" / "repro" / "parallel" / "worker.py"
-    worker.write_text(worker.read_text()
-                      + "\n\nCANARY_SENTINEL = 0xDEAD\n")
-    report = LintEngine(str(repo_copy)).run()
-    assert not report.ok()
-    drift = [f for f in report.findings if f.rule == "LINT022"]
-    assert [f.path for f in drift] == ["repro/parallel/worker.py"]
-
-
-def test_canary_comment_edit_passes_gate(repo_copy):
-    worker = repo_copy / "src" / "repro" / "parallel" / "worker.py"
-    worker.write_text(worker.read_text()
-                      + "\n# canary: formatting-only edit\n")
-    assert LintEngine(str(repo_copy)).run().ok()
-
-
-def test_canary_version_bump_plus_refresh_passes(repo_copy):
-    worker = repo_copy / "src" / "repro" / "parallel" / "worker.py"
-    worker.write_text(worker.read_text() + "\n\nCANARY = 1\n")
-    engine = LintEngine(str(repo_copy))
-    assert not engine.run().ok()
-    engine.update_manifest()
-    assert engine.run().ok()
-
-
 # -- CLI surface -----------------------------------------------------------
 
 def _run_cli(*argv):
@@ -165,7 +115,7 @@ def test_cli_rules_listing():
 
 
 def test_cli_select_filters_rules():
-    proc = _run_cli("--select", "LINT022", "--format", "json")
+    proc = _run_cli("--select", "LINT020", "--format", "json")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["findings"] == []

@@ -16,6 +16,7 @@ from repro.verify.diagnostics import RULE_NAMESPACES, Severity, all_rules
 
 DET_MOD = "repro.parallel.fake"      # in determinism scope
 HOT_MOD = "repro.core.prb"           # a designated hot module
+KERNEL_MOD = "repro.kernel.batched"  # the fused timing loop
 FUSED_MOD = "repro.branch.fake"      # in fused-predictor scope
 NEUTRAL_MOD = "repro.analysis.fake"  # in no scope
 
@@ -182,6 +183,11 @@ def test_enum_and_exception_exempt_from_slots():
     assert rules_of(src, HOT_MOD) == []
 
 
+def test_kernel_class_without_slots_flagged():
+    src = "class Model:\n    def __init__(self):\n        self.x = 1\n"
+    assert rules_of(src, KERNEL_MOD) == ["LINT010"]
+
+
 def test_cold_module_class_without_slots_ok():
     src = "class Anything:\n    pass\n"
     assert rules_of(src, NEUTRAL_MOD) == []
@@ -195,6 +201,14 @@ def test_split_predict_update_same_receiver_flagged():
            "    self.pred.update(pc, taken)\n"
            "    return guess\n")
     assert rules_of(src, FUSED_MOD) == ["LINT011"]
+
+
+def test_split_predict_update_in_kernel_flagged():
+    src = ("def run_span(self, pc, taken):\n"
+           "    guess = self.pred.predict(pc)\n"
+           "    self.pred.update(pc, taken)\n"
+           "    return guess\n")
+    assert rules_of(src, KERNEL_MOD) == ["LINT011"]
 
 
 def test_fused_call_ok():
@@ -239,6 +253,22 @@ def test_unguarded_hook_call_flagged():
            "    def retire(self, rec):\n"
            "        self.telemetry.observe(rec)\n")
     assert rules_of(src, HOT_MOD) == ["LINT012"]
+
+
+def test_unguarded_hook_call_in_kernel_flagged():
+    src = ("def run_span(self, state, rec):\n"
+           "    engine = state.engine\n"
+           "    engine.sanitizer.on_retire(rec)\n")
+    assert rules_of(src, KERNEL_MOD) == ["LINT012"]
+
+
+def test_engine_hook_alias_guard_in_kernel_ok():
+    src = ("def run_span(self, state, rec):\n"
+           "    engine = state.engine\n"
+           "    sanitizer = engine.sanitizer\n"
+           "    if sanitizer is not None:\n"
+           "        sanitizer.on_retire(rec)\n")
+    assert rules_of(src, KERNEL_MOD) == []
 
 
 def test_is_not_none_guard_ok():
@@ -418,10 +448,10 @@ def test_finding_format_is_anchored():
 
 
 def test_repo_level_finding_has_no_line():
-    f = Finding(rule="LINT022", severity=Severity.ERROR,
-                path="lint-fingerprints.json", line=0,
-                symbol="<manifest>", message="drift")
-    assert f.format().startswith("lint-fingerprints.json: LINT022")
+    f = Finding(rule="LINT021", severity=Severity.ERROR,
+                path="docs/lint.md", line=0, symbol="<docs>",
+                message="undocumented")
+    assert f.format().startswith("docs/lint.md: LINT021")
 
 
 if __name__ == "__main__":

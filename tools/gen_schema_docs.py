@@ -39,9 +39,9 @@ Every machine-readable artifact the toolkit writes carries a
 `repro.schemas.SCHEMA_REGISTRY` and described in
 `repro.schemas.SCHEMA_INFO` — the single source of truth this page is
 rendered from.  `repro lint` enforces the registry from the other side:
-LINT020 rejects stray schema literals in the code, LINT021 requires
-every registered marker to be documented, and LINT022 gates payload
-drift behind `CODE_SCHEMA_VERSION` bumps.
+LINT020 rejects stray schema literals in the code, and LINT021 requires
+every registered marker to be documented.  Payload drift is gated by
+the pinned payload corpora, keyed by `CODE_SCHEMA_VERSION`.
 """
 
 
