@@ -134,6 +134,8 @@ def check_hook_guards(ctx: ModuleContext) -> List[Finding]:
 
 def _check_function_hooks(ctx: ModuleContext,
                           func: ast.AST) -> List[Finding]:
+    if func.name == "__init__":
+        return []  # construction-time wiring, not the hot path
     # Aliases: ``log = self.event_log`` makes Name("log") stand for the
     # hook for the rest of the function.
     aliases: Dict[str, str] = {}
@@ -145,21 +147,28 @@ def _check_function_hooks(ctx: ModuleContext,
                 aliases[sub.targets[0].id] = attr
     findings: List[Finding] = []
     for sub in walk_function_body(func):
-        if not (isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)):
+        if not isinstance(sub, ast.Call):
             continue
-        attr = _hook_attr(sub.func.value, aliases)
-        if attr is None:
+        # A bound hook called directly (``telemetry_retire(...)``), or a
+        # method called on a hook (``self.telemetry.observe(...)``).
+        attr = _hook_attr(sub.func, aliases)
+        if attr is not None:
+            hook = called = ast.unparse(sub.func)
+        elif isinstance(sub.func, ast.Attribute):
+            attr = _hook_attr(sub.func.value, aliases)
+            if attr is None:
+                continue
+            hook = ast.unparse(sub.func.value)
+            called = f"{attr}.{sub.func.attr}"
+        else:
             continue
-        if func.name == "__init__":
-            continue  # construction-time wiring, not the hot path
         if not _is_guarded(ctx, sub, attr, aliases):
             findings.append(_finding(
                 ctx, "LINT012", sub,
-                f"hook call {attr}.{sub.func.attr}() without an "
-                f"'is not None' fast-path guard",
-                "wrap in 'if self.%s is not None:' so the detached case "
-                "costs one identity test" % attr))
+                f"hook call {called}() without an 'is not None' "
+                f"fast-path guard",
+                f"wrap in 'if {hook} is not None:' so the detached case "
+                f"costs one identity test"))
     return findings
 
 

@@ -103,6 +103,7 @@ FUSED_SCOPE: Tuple[str, ...] = (
 #: fast path (rule LINT012).
 HOOK_ATTRS: Tuple[str, ...] = (
     "telemetry", "sanitizer", "event_log", "verifier",
+    "_telemetry_retire", "_telemetry_control",
 )
 
 

@@ -17,10 +17,12 @@ sweep-level aggregation and single-run tooling read the same fields.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.branch.unit import BranchPredictorComplex, oracle_complex
 from repro.core.oracle import run_potential
@@ -76,6 +78,35 @@ def _direction_complex(task: SweepTask) -> BranchPredictorComplex:
     return make_complex(task.predictor)
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for one point.
+
+    A point allocates a record, a PRB entry and stride entries per
+    instruction but makes no reference cycles, so reference counting
+    alone frees all of it, at the same moment as with the collector on
+    (``tests/test_gc_pause.py`` pins that every corpus point leaves no
+    cyclic garbage; a telemetry-attached point does leave its engine
+    behind, see ``docs/performance.md``).  With the collector on, those
+    allocations trigger collections that free nothing, and each full
+    collection walks every static ``Instruction`` of every loaded
+    program.
+
+    The pause covers the whole process: other threads (the service's
+    HTTP threads) allocate during it, and their cycles wait for the
+    first collection after the point.  The collector is re-enabled on
+    exit only if it was enabled on entry, so a caller that disabled it
+    keeps it disabled.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_task(task: SweepTask, telemetry: Optional[Any] = None,
              ) -> Dict[str, Any]:
     """Simulate one sweep point and return its result payload.
@@ -85,7 +116,17 @@ def run_task(task: SweepTask, telemetry: Optional[Any] = None,
     kinds run bare timing models with no hook sites.  Telemetry is
     strictly observational, so the returned payload is bit-identical
     with or without it.
+
+    The point runs with the cyclic garbage collector paused (see
+    :func:`_collector_paused`); its locals are freed before the
+    collector resumes.
     """
+    with _collector_paused():
+        return _run_point(task, telemetry)
+
+
+def _run_point(task: SweepTask, telemetry: Optional[Any],
+               ) -> Dict[str, Any]:
     trace = benchmark_trace(task.benchmark, task.instructions)
     metrics: Optional[Dict[str, Any]] = None
     result: TimingResult

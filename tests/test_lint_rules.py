@@ -271,6 +271,25 @@ def test_engine_hook_alias_guard_in_kernel_ok():
     assert rules_of(src, KERNEL_MOD) == []
 
 
+def test_unguarded_bound_hook_call_in_kernel_flagged():
+    # The fused loop binds the engine's per-retire telemetry callable
+    # once and calls it by its local name.
+    src = ("def run_span(self, state, idx, rc):\n"
+           "    engine = state.engine\n"
+           "    telemetry_retire = engine._telemetry_retire\n"
+           "    telemetry_retire(engine, idx, rc)\n")
+    assert rules_of(src, KERNEL_MOD) == ["LINT012"]
+
+
+def test_guarded_bound_hook_call_in_kernel_ok():
+    src = ("def run_span(self, state, idx, rec, outcome):\n"
+           "    engine = state.engine\n"
+           "    control_hook = engine._telemetry_control\n"
+           "    if control_hook is not None:\n"
+           "        control_hook(engine, idx, rec, outcome)\n")
+    assert rules_of(src, KERNEL_MOD) == []
+
+
 def test_is_not_none_guard_ok():
     src = ("class Engine:\n"
            "    __slots__ = ('telemetry', 'event_log', 'prb')\n"
