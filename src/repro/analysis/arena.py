@@ -105,14 +105,9 @@ def arena_tasks(
     instructions: int,
     ssmt_config: SSMTConfig,
     potential_config: PotentialConfig,
-    sample: Optional[Any] = None,
 ) -> List[SweepTask]:
     """The arena grid: one shared oracle per benchmark, then a
-    baseline/ssmt/potential triple per (zoo baseline, benchmark).
-
-    ``sample`` applies to the baseline/ssmt points only — oracle and
-    potential runs are always exact.
-    """
+    baseline/ssmt/potential triple per (zoo baseline, benchmark)."""
     tasks: List[SweepTask] = [
         SweepTask(kind="oracle", benchmark=name, instructions=instructions,
                   label="oracle")
@@ -123,12 +118,11 @@ def arena_tasks(
         for name in benchmarks:
             tasks.append(SweepTask(
                 kind="baseline", benchmark=name, instructions=instructions,
-                label=f"{label}|baseline", predictor=predictor,
-                sample=sample))
+                label=f"{label}|baseline", predictor=predictor))
             tasks.append(SweepTask(
                 kind="ssmt", benchmark=name, instructions=instructions,
                 label=f"{label}|ssmt", config=ssmt_config,
-                predictor=predictor, sample=sample))
+                predictor=predictor))
             tasks.append(SweepTask(
                 kind="potential", benchmark=name, instructions=instructions,
                 label=f"{label}|potential", potential=potential_config,
@@ -175,7 +169,6 @@ def run_arena(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     resume: bool = True,
-    sample: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Run the arena and return the ``repro.arena/1`` artifact.
 
@@ -184,8 +177,6 @@ def run_arena(
     dict supplies custom configurations.  Runner accounting (jobs,
     cache hits, elapsed) lands only under ``context`` so the rest of the
     artifact is bit-identical across serial/parallel/cached runs.
-    ``sample`` selects sampled simulation for the baseline/ssmt points
-    (see :mod:`repro.kernel.sampling`).
     """
     resolved = _resolve_baselines(baselines)
     if not resolved:
@@ -196,7 +187,7 @@ def run_arena(
     ssmt_config = SSMTConfig(n=n, difficulty_threshold=threshold)
     potential_config = PotentialConfig(n=n, difficulty_threshold=threshold)
     tasks = arena_tasks(labels, resolved, benchmarks, instructions,
-                        ssmt_config, potential_config, sample=sample)
+                        ssmt_config, potential_config)
     outcome = SweepRunner(jobs=jobs, cache_dir=cache_dir,
                           resume=resume).run(tasks)
     if outcome.failures:

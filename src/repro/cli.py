@@ -69,10 +69,8 @@ from repro.analysis.experiments import (
     figure9_timeliness,
     intro_perfect_prediction,
 )
-from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTConfig, run_ssmt
 from repro.core.static import run_profile_guided
-from repro.kernel import SampleSpec, run_sampled
 from repro.parallel import (
     SweepRunner,
     build_grid,
@@ -90,32 +88,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instructions", type=int,
                         default=DEFAULT_TRACE_LENGTH,
                         help="dynamic instructions to simulate")
-
-
-def _add_sample_args(parser: argparse.ArgumentParser) -> None:
-    """The sampled-simulation flags (repro.kernel.sampling)."""
-    parser.add_argument("--sample-interval", type=int, default=None,
-                        metavar="N",
-                        help="run sampled simulation with this period in "
-                             "instructions (detailed warmup+measure "
-                             "windows, functional fast-forward between; "
-                             "results are extrapolations marked "
-                             "'sampled')")
-    parser.add_argument("--sample-warmup", type=int, default=2000,
-                        metavar="N",
-                        help="detailed warm-up instructions per sampling "
-                             "period (with --sample-interval)")
-
-
-def _sample_spec(args):
-    """Build a SampleSpec from CLI args; None when sampling is off."""
-    if args.sample_interval is None:
-        return None
-    try:
-        return SampleSpec(interval=args.sample_interval,
-                          warmup=args.sample_warmup)
-    except ValueError as error:
-        raise SystemExit(f"--sample-interval: {error}")
 
 
 def _check_benchmark(name: str) -> str:
@@ -138,21 +110,7 @@ def cmd_suite(_args) -> int:
 def cmd_run(args) -> int:
     name = _check_benchmark(args.benchmark)
     trace = benchmark_trace(name, args.instructions)
-    sample = _sample_spec(args)
-    if args.profile_guided and sample is not None:
-        raise SystemExit(
-            "--sample-interval samples the dynamic engine's retire loop; "
-            "it cannot be combined with --profile-guided")
-    if sample is not None and (args.sanitize or args.metrics_out):
-        raise SystemExit(
-            "--sample-interval fast-forwards between detailed windows, "
-            "which breaks the sanitizer/telemetry contract of observing "
-            "every retired instruction; drop --sanitize/--metrics-out "
-            "or run exact")
-    if sample is not None:
-        base = run_sampled(trace, BranchPredictorComplex(), sample)
-    else:
-        base = baseline_run(trace)
+    base = baseline_run(trace)
     config = SSMTConfig(n=args.n, difficulty_threshold=args.threshold,
                         pruning=not args.no_pruning)
     sanitizer = None
@@ -174,9 +132,8 @@ def cmd_run(args) -> int:
         label = "profile-guided SSMT"
     else:
         result, engine = run_ssmt(trace, config, sanitizer=sanitizer,
-                                  telemetry=telemetry, sample=sample)
+                                  telemetry=telemetry)
         label = "dynamic SSMT"
-    suffix = " [sampled]" if sample is not None else ""
     print(format_table(
         ["configuration", "IPC", "mispredicts", "speed-up"],
         [
@@ -184,12 +141,7 @@ def cmd_run(args) -> int:
             [label, round(result.ipc, 3), result.effective_mispredicts,
              round(result.ipc / base.ipc, 3)],
         ],
-        title=f"{name} ({args.instructions} instructions){suffix}"))
-    if sample is not None and result.sample is not None:
-        s = result.sample
-        print(f"sampled: interval={s['interval']} warmup={s['warmup']} "
-              f"measure={s['measure']} windows={s['windows']} "
-              f"measured_fraction={s['measured_fraction']}")
+        title=f"{name} ({args.instructions} instructions)"))
     spawn = engine.spawner.stats
     print(f"\nroutines: {len(engine.microram)}  spawned: {spawn.spawned}  "
           f"aborted: {spawn.aborted_active}  "
@@ -613,11 +565,10 @@ def cmd_sweep(args) -> int:
                 f"unknown predictor {args.predictor!r}; choose from "
                 + ", ".join(sorted(ARENA_BASELINES)))
         predictor = ARENA_BASELINES[args.predictor]
-    sample = _sample_spec(args)
     tasks = build_grid(benchmarks, args.instructions,
                        knob=args.knob, values=values,
                        widths=tuple(args.widths or ()),
-                       predictor=predictor, sample=sample)
+                       predictor=predictor)
     runner_kwargs: Dict[str, Any] = {}
     observer = None
     if args.trace_out or args.live:
@@ -648,11 +599,6 @@ def cmd_sweep(args) -> int:
               "matched this grid; entries written under a different "
               "CODE_SCHEMA_VERSION are invalidated by design (see "
               "docs/service.md, 'Cache invalidation')", file=sys.stderr)
-    context_extra: Dict[str, Any] = {}
-    if sample is not None:
-        context_extra["sample"] = {"interval": sample.interval,
-                                   "warmup": sample.warmup,
-                                   "measure": sample.measure}
     merged = merge_sweep(outcome.results, context={
         "benchmarks": list(benchmarks),
         "instructions": args.instructions,
@@ -660,7 +606,6 @@ def cmd_sweep(args) -> int:
         "values": list(values),
         "widths": list(args.widths or ()),
         "predictor": args.predictor or None,
-        **context_extra,
         "jobs": outcome.jobs,
         "simulated": outcome.simulated,
         "cache_hits": outcome.cache_hits,
@@ -724,8 +669,7 @@ def cmd_arena(args) -> int:
         artifact = run_arena(benchmarks, args.instructions,
                              baselines=args.predictors or None,
                              jobs=args.jobs, cache_dir=args.cache_dir,
-                             resume=args.resume,
-                             sample=_sample_spec(args))
+                             resume=args.resume)
     except ValueError as error:
         raise SystemExit(str(error))
 
@@ -805,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="interval sampler period in retired "
                                  "instructions (with --metrics-out; "
                                  "0 disables sampling)")
-    _add_sample_args(run_parser)
 
     trace_parser = sub.add_parser(
         "trace", help="microthread lifecycle spans on a benchmark")
@@ -931,7 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SECONDS",
                               help="progress heartbeat interval for "
                                    "--live / --trace-out")
-    _add_sample_args(sweep_parser)
 
     postmortem_parser = sub.add_parser(
         "postmortem",
@@ -976,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
     arena_parser.add_argument("--bench-out", metavar="DIR",
                               help="write a BENCH_arena.json trajectory "
                                    "artifact into DIR")
-    _add_sample_args(arena_parser)
 
     disasm_parser = sub.add_parser("disasm", help="disassemble a benchmark")
     disasm_parser.add_argument("benchmark")

@@ -541,28 +541,18 @@ def run_ssmt(
     sanitizer: Optional["SimSanitizer"] = None,
     telemetry: Optional["TelemetrySession"] = None,
     event_log: Optional[EventLog] = None,
-    sample: Optional[object] = None,
 ) -> Tuple[TimingResult, SSMTEngine]:
     """Run the full SSMT machine over ``trace``; returns timing + engine.
 
     The run goes through the fused retire loop of
-    :class:`~repro.kernel.batched.OoOTimingModel`.  ``sample``
-    takes a :class:`~repro.kernel.sampling.SampleSpec` to run sampled
-    simulation (detailed windows + functional fast-forward) instead of
-    the exact full run.  Both imports are deferred because
-    :mod:`repro.kernel` imports this module.
+    :class:`~repro.kernel.batched.OoOTimingModel`, whose import is
+    deferred because :mod:`repro.kernel` imports this module.
     """
     engine = SSMTEngine(config, initial_memory=trace.initial_memory,
                         event_log=event_log,
                         verifier=verifier, sanitizer=sanitizer,
                         telemetry=telemetry)
     predictor = predictor if predictor is not None else BranchPredictorComplex()
-    if sample is not None:
-        from repro.kernel.sampling import run_sampled
-
-        result = run_sampled(trace, predictor, sample, machine=machine,
-                             engine=engine)
-        return result, engine
     from repro.kernel.batched import OoOTimingModel
 
     model = OoOTimingModel(machine)

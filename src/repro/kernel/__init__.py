@@ -1,4 +1,4 @@
-"""The timing model, its fused retire loop and sampled simulation.
+"""The timing model and its fused retire loop.
 
 ``repro.kernel`` is where every timing run executes:
 
@@ -8,20 +8,14 @@
 * :class:`~repro.kernel.batched.OoOTimingModel` — the timing model,
   whose one fused column loop times the baseline machine and every
   :class:`~repro.core.ssmt.SSMTEngine` (dynamic, profile-guided,
-  potential), over the whole trace or in spans,
-* :class:`~repro.kernel.sampling.SampleSpec` /
-  :func:`~repro.kernel.sampling.run_sampled` — detailed-window sampling
-  with functional fast-forward and extrapolated results.
+  potential), over the whole trace or in spans.
 """
 
 from repro.kernel.batched import OoOTimingModel
 from repro.kernel.columns import TraceColumns, predecode
-from repro.kernel.sampling import SampleSpec, run_sampled
 
 __all__ = [
     "OoOTimingModel",
-    "SampleSpec",
     "TraceColumns",
     "predecode",
-    "run_sampled",
 ]

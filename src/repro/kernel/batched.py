@@ -14,10 +14,11 @@ microthreads.
 
 :meth:`OoOTimingModel.start` opens a run whose :class:`_RunState`
 ``run_span`` advances over any consecutive ranges: ``run`` is one span,
-while sampled simulation, the windowed timelines and the pipeline view
-use several.  The per-record loop this replaced is frozen as
+while the windowed timelines and the pipeline view use several.  The
+per-record loop this replaced is frozen as
 :class:`repro.perf.reference.ReferenceTimingModel`, and
-``tests/test_kernel.py`` holds the two bit-identical.  A quiet engine
+``tests/test_kernel.py`` holds the two bit-identical (and a split run
+identical to one ``run``).  A quiet engine
 (no telemetry, sanitizer or event log) costs no hook calls at all.
 """
 

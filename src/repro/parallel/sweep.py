@@ -72,7 +72,6 @@ def build_grid(
     widths: Sequence[int] = (),
     machine: MachineConfig = TABLE3_BASELINE,
     predictor: Optional["PredictorConfig"] = None,
-    sample: Optional[Any] = None,
 ) -> List[SweepTask]:
     """Expand benchmarks x widths x knob-settings into sweep tasks.
 
@@ -82,8 +81,7 @@ def build_grid(
     ``baseline`` task (deduped by key if repeated across grids).
     ``predictor`` swaps the hardware direction predictor of every point
     (baselines included) for a zoo baseline; ``None`` keeps the paper's
-    hybrid.  ``sample`` selects sampled simulation for every
-    baseline/ssmt point (see :mod:`repro.kernel.sampling`).
+    hybrid.
     """
     base_config = base_config or SSMTConfig()
     if knob is not None and not hasattr(base_config, knob):
@@ -104,7 +102,7 @@ def build_grid(
             tasks.append(SweepTask(kind="baseline", benchmark=name,
                                    instructions=instructions,
                                    label=blabel, machine=mconfig,
-                                   predictor=predictor, sample=sample))
+                                   predictor=predictor))
         for slabel, config in settings:
             label = "|".join(part for part in (slabel, mlabel) if part)
             for name in benchmarks:
@@ -112,7 +110,7 @@ def build_grid(
                                        instructions=instructions,
                                        label=label, config=config,
                                        machine=mconfig,
-                                       predictor=predictor, sample=sample))
+                                       predictor=predictor))
     return tasks
 
 

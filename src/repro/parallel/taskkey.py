@@ -10,10 +10,7 @@ rendering of everything that determines the simulation's outcome:
   :class:`~repro.core.oracle.PotentialConfig`) when one applies,
 * the full :class:`~repro.uarch.config.MachineConfig`,
 * the :class:`~repro.branch.zoo.config.PredictorConfig` when the point
-  runs a zoo baseline predictor (``None`` = the paper's hybrid),
-* the :class:`~repro.kernel.sampling.SampleSpec` when the point runs
-  sampled simulation (extrapolated results are never interchangeable
-  with exact ones), and
+  runs a zoo baseline predictor (``None`` = the paper's hybrid), and
 * :data:`CODE_SCHEMA_VERSION`.
 
 Two tasks with equal keys produce bit-identical result payloads, so a
@@ -108,10 +105,6 @@ class SweepTask:
     #: zoo baseline direction predictor; ``None`` is the paper's hybrid
     #: (the default path never imports :mod:`repro.branch.zoo`)
     predictor: Optional["PredictorConfig"] = None
-    #: sampled-simulation spec (:class:`repro.kernel.sampling.SampleSpec`);
-    #: IS part of the key — sampled results are extrapolations, never
-    #: interchangeable with exact ones
-    sample: Optional[Any] = None
     #: the task key, computed once in ``__post_init__``; a task is a
     #: value, so it never goes stale (see :attr:`key`)
     _key: str = field(init=False, repr=False, compare=False)
@@ -120,15 +113,6 @@ class SweepTask:
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; "
                              f"expected one of {TASK_KINDS}")
-        if self.sample is not None:
-            if self.kind not in ("baseline", "ssmt"):
-                raise ValueError(
-                    "sampled simulation applies to baseline/ssmt tasks "
-                    f"only, not {self.kind!r}")
-            if not (dataclasses.is_dataclass(self.sample)
-                    and not isinstance(self.sample, type)):
-                raise ValueError("sample must be a SampleSpec instance "
-                                 "(or None for an exact run)")
         if self.instructions <= 0:
             raise ValueError("instructions must be positive")
         if self.kind == "ssmt" and self.config is None:
@@ -163,7 +147,8 @@ class SweepTask:
             "potential": _jsonable(self.potential),
             "machine": _jsonable(self.machine),
             "predictor": _jsonable(self.predictor),
-            "sample": _jsonable(self.sample),
+            # A constant: every on-disk cache and pinned key hashes it.
+            "sample": None,
         }
 
     @property

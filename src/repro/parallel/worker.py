@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, Optional
 from repro.branch.unit import BranchPredictorComplex, oracle_complex
 from repro.core.oracle import run_potential
 from repro.core.ssmt import SSMTEngine, run_ssmt
-from repro.kernel import OoOTimingModel, run_sampled
+from repro.kernel import OoOTimingModel
 from repro.parallel.cache import POINT_SCHEMA
 from repro.parallel.taskkey import SweepTask
 from repro.uarch.timing import TimingResult
@@ -131,12 +131,8 @@ def _run_point(task: SweepTask, telemetry: Optional[Any],
     metrics: Optional[Dict[str, Any]] = None
     result: TimingResult
     if task.kind == "baseline":
-        if task.sample is not None:
-            result = run_sampled(trace, _direction_complex(task),
-                                 task.sample, machine=task.machine)
-        else:
-            result = OoOTimingModel(task.machine).run(
-                trace, _direction_complex(task))
+        result = OoOTimingModel(task.machine).run(
+            trace, _direction_complex(task))
     elif task.kind == "oracle":
         result = OoOTimingModel(task.machine).run(
             trace, oracle_complex())
@@ -147,7 +143,7 @@ def _run_point(task: SweepTask, telemetry: Optional[Any],
     else:  # ssmt (validated by SweepTask.__post_init__)
         result, engine = run_ssmt(trace, task.config, machine=task.machine,
                                   predictor=_direction_complex(task),
-                                  telemetry=telemetry, sample=task.sample)
+                                  telemetry=telemetry)
         metrics = engine_metrics(engine)
     payload: Dict[str, Any] = {
         "schema": POINT_SCHEMA,
@@ -163,12 +159,6 @@ def _run_point(task: SweepTask, telemetry: Optional[Any],
         "timing": result.as_dict(),
         "metrics": metrics,
     }
-    if task.sample is not None:
-        # Sampled results are extrapolations: marked explicitly, never
-        # shaped like (or cached as) exact payloads — the sample spec is
-        # part of the task key.
-        payload["sampled"] = True
-        payload["sample"] = result.sample
     # Normalise to JSON-native types (tuples -> lists, etc.) so fresh,
     # pooled, and cached payloads compare bit-identically.
     normalised: Dict[str, Any] = json.loads(

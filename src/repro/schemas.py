@@ -38,8 +38,9 @@ from typing import Any, Dict, Iterator, Tuple
 #: 3 — Prediction Cache deallocates invalidated entries on touch and
 #: reclaims them first under capacity pressure (changes slot residency
 #: and the ``prediction_cache`` stats section, which grew an
-#: ``invalid_deallocations`` counter); sweep tasks gained the optional
-#: ``sample`` identity field for sampled simulation (:mod:`repro.kernel`).
+#: ``invalid_deallocations`` counter); sweep tasks gained the ``sample``
+#: identity field for sampled simulation, which has since been deleted
+#: (the field stays in every key as a constant ``null``).
 CODE_SCHEMA_VERSION = 3
 
 #: Every versioned artifact schema: name -> version -> owning module.
@@ -129,10 +130,6 @@ SCHEMA_INFO: Dict[str, Dict[str, Any]] = {
             "timing": "TimingResult.as_dict() summary",
             "metrics": "engine structure statistics (ssmt points; else "
                        "null)",
-            "sampled": "true when the result is a sampled-simulation "
-                       "extrapolation (absent on exact runs)",
-            "sample": "sampling accounting (interval, warmup, windows, "
-                      "measured_fraction; sampled runs only)",
         },
     },
     "repro.arena": {

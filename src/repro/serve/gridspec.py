@@ -18,9 +18,7 @@ A request::
       "knob": "n", "values": [4, 10],     # optional SSMTConfig sweep
       "widths": [8, 16],                  # optional machine widths
       "predictor": "tage",                # optional zoo baseline
-      "kernel": "batched",                # accepted, ignored
-      "sample": {"interval": 10000,       # optional sampled simulation
-                 "warmup": 2000}
+      "kernel": "batched"                 # accepted, ignored
     }
 
 ``kernel`` (``"scalar"`` or ``"batched"``) is still validated because
@@ -39,7 +37,6 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.kernel.sampling import SampleSpec
 from repro.parallel.sweep import build_grid, parse_knob_value
 from repro.parallel.taskkey import SweepTask, canonical_json
 from repro.workloads import BENCHMARK_NAMES
@@ -48,7 +45,7 @@ from repro.workloads import BENCHMARK_NAMES
 #: reject rather than silently ignore (a misspelled knob would otherwise
 #: simulate the wrong grid).
 KNOWN_KEYS = ("benchmarks", "instructions", "knob", "values", "widths",
-              "predictor", "kernel", "sample")
+              "predictor", "kernel")
 
 #: Default dynamic-instruction budget per point when a request omits it.
 DEFAULT_INSTRUCTIONS = 20_000
@@ -67,13 +64,12 @@ class GridSpecError(ValueError):
                 "message": self.message}
 
 
-def _require_int(value: Any, field: str, minimum: int = 1) -> int:
+def _require_int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise GridSpecError(field, f"{field} must be an integer, got "
                                    f"{type(value).__name__}")
-    if value < minimum:
-        raise GridSpecError(field, f"{field} must be >= {minimum}, got "
-                                   f"{value}")
+    if value < 1:
+        raise GridSpecError(field, f"{field} must be >= 1, got {value}")
     return value
 
 
@@ -155,25 +151,6 @@ def normalise_spec(payload: Any,
         raise GridSpecError("kernel", f"kernel must be 'scalar' or "
                                       f"'batched', got {kernel!r}")
 
-    sample = payload.get("sample")
-    if sample is not None:
-        if not isinstance(sample, dict):
-            raise GridSpecError("sample", "sample must be an object with "
-                                          "'interval' (and optional "
-                                          "'warmup')")
-        unknown = set(sample) - {"interval", "warmup"}
-        if unknown:
-            raise GridSpecError("sample", f"unknown sample field(s): "
-                                          f"{', '.join(sorted(unknown))}")
-        interval = _require_int(sample.get("interval"), "sample.interval")
-        warmup = _require_int(sample.get("warmup", 2000), "sample.warmup",
-                              minimum=0)
-        try:
-            SampleSpec(interval=interval, warmup=warmup)
-        except ValueError as error:
-            raise GridSpecError("sample", str(error))
-        sample = {"interval": interval, "warmup": warmup}
-
     return {
         "benchmarks": list(benchmarks),
         "instructions": instructions,
@@ -181,7 +158,6 @@ def normalise_spec(payload: Any,
         "values": values,
         "widths": widths,
         "predictor": predictor,
-        "sample": sample,
     }
 
 
@@ -192,13 +168,10 @@ def spec_tasks(spec: Dict[str, Any]) -> List[SweepTask]:
     if spec["predictor"] is not None:
         from repro.branch.zoo import ARENA_BASELINES
         predictor = ARENA_BASELINES[spec["predictor"]]
-    sample = None
-    if spec["sample"] is not None:
-        sample = SampleSpec(**spec["sample"])
     return build_grid(spec["benchmarks"], spec["instructions"],
                       knob=spec["knob"], values=spec["values"],
                       widths=tuple(spec["widths"]),
-                      predictor=predictor, sample=sample)
+                      predictor=predictor)
 
 
 def spec_job_id(spec: Dict[str, Any]) -> str:

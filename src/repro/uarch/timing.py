@@ -69,11 +69,6 @@ class TimingResult:
     cache: Optional[CacheStats] = None
     conditional_branches: int = 0
     indirect_branches: int = 0
-    #: sampling metadata when the run was sampled (:mod:`repro.kernel.
-    #: sampling`); ``None`` for exact runs.  Deliberately excluded from
-    #: :meth:`as_dict` — the sweep worker marks sampled payloads
-    #: explicitly so exact-mode payload layouts stay bit-identical.
-    sample: Optional[Dict[str, object]] = None
 
     @property
     def ipc(self) -> float:

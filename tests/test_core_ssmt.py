@@ -197,9 +197,8 @@ class TestEngineStateTracking:
         engine.memory[0x100] = 7
         assert engine._memory_read(0x100) == 7
 
-    @pytest.mark.parametrize("loop", ["fused", "reference", "sampled"])
+    @pytest.mark.parametrize("loop", ["fused", "reference"])
     def test_run_leaves_the_data_segment_untouched(self, loop):
-        from repro.kernel.sampling import SampleSpec
         from repro.perf.reference import ReferenceTimingModel
 
         trace = run_program(assemble(STORE_INTERFERENCE),
@@ -211,8 +210,7 @@ class TestEngineStateTracking:
             ReferenceTimingModel().run(trace, BranchPredictorComplex(),
                                        engine)
         else:
-            sample = SampleSpec(interval=5_000) if loop == "sampled" else None
-            _, engine = run_ssmt(trace, fast_config(), sample=sample)
+            _, engine = run_ssmt(trace, fast_config())
         assert any(r.inst.is_store and before.get(r.ea) != r.result
                    for r in trace)
         assert trace.initial_memory == before

@@ -1,4 +1,4 @@
-"""Tests for the fused retire loop and sampled simulation.
+"""Tests for the fused retire loop and its spans.
 
 The contract under test (``repro.kernel``):
 
@@ -10,10 +10,11 @@ The contract under test (``repro.kernel``):
   worker-payload level,
 * the fused loop's inlined PRB insert leaves the same buffer as
   ``PostRetirementBuffer.insert`` does under the per-record loop,
-* sampled simulation: marked, key-distinct, within the documented error
-  bound, and exact for a degenerate spec.
+* spans: ``start`` plus ``run_span`` over any consecutive split of a
+  spawning SSMT point equals one ``run``.
 """
 
+import functools
 import json
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
-from repro.kernel import OoOTimingModel, SampleSpec, predecode
+from repro.kernel import OoOTimingModel, predecode
 from repro.kernel.columns import (
     HAS_DEST,
     HAS_EA,
@@ -37,6 +38,7 @@ from repro.parallel.taskkey import SweepTask
 from repro.parallel.worker import engine_metrics, run_task
 from repro.perf.reference import ReferenceTimingModel
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace
+from tests.test_taskkey_corpus import SUITE_CONFIG
 
 
 class TestPredecode:
@@ -168,60 +170,43 @@ class TestInlinedPRB:
         assert fused == reference
 
 
-class TestSampled:
-    def test_marked_and_key_distinct(self):
-        exact = SweepTask(kind="ssmt", benchmark="gcc", instructions=20_000)
-        sampled = SweepTask(kind="ssmt", benchmark="gcc",
-                            instructions=20_000,
-                            sample=SampleSpec(interval=5_000))
-        assert sampled.key != exact.key
-        payload = run_task(sampled)
-        assert payload["sampled"] is True
-        assert payload["sample"]["interval"] == 5_000
-        assert payload["sample"]["windows"] >= 1
-        assert 0 < payload["sample"]["measured_fraction"] < 1
-        assert "sampled" not in run_task(exact)
+def split_outcome(name, cuts):
+    """The outcome of one spawning SSMT run driven as ``start`` plus one
+    ``run_span`` per consecutive range between ``cuts``, finished the
+    way :meth:`OoOTimingModel.run` finishes a run."""
+    trace = benchmark_trace(name, 20_000)
+    engine = SSMTEngine(SUITE_CONFIG, initial_memory=trace.initial_memory)
+    model = OoOTimingModel()
+    state = model.start(trace, BranchPredictorComplex(), engine)
+    n = state.columns.n
+    bounds = [0, *cuts, n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        model.run_span(state, lo, hi)
+    result = state.result
+    result.instructions = n
+    result.cycles = state.last_retire + 1
+    engine.on_run_end(result, model)
+    return observed(result, engine)
 
-    def test_degenerate_spec_is_exact(self):
-        """A window covering the whole trace reproduces the exact run."""
-        trace = benchmark_trace("gcc", 10_000)
-        exact, _ = run_ssmt(trace, predictor=BranchPredictorComplex())
-        spec = SampleSpec(interval=10_000, warmup=0, measure=10_000)
-        sampled, _ = run_ssmt(trace, predictor=BranchPredictorComplex(),
-                              sample=spec)
-        exact_dict, sampled_dict = exact.as_dict(), sampled.as_dict()
-        assert sampled.sample["scale"] == 1.0
-        assert sampled_dict == exact_dict
 
-    @pytest.mark.parametrize("name", ["gcc", "mcf_2k"])
-    def test_mispredict_rate_within_error_bound(self, name):
-        """docs/performance.md documents <= 20% relative error on the
-        suite at interval=10k/warmup=2k; hold a looser 25% here so the
-        gate does not flake on workload updates."""
-        trace = benchmark_trace(name, 50_000)
-        exact, _ = run_ssmt(trace, predictor=BranchPredictorComplex())
-        sampled, _ = run_ssmt(trace, predictor=BranchPredictorComplex(),
-                              sample=SampleSpec(interval=10_000))
-        exact_rate = exact.mispredict_rate()
-        sampled_rate = sampled.mispredict_rate()
-        assert exact_rate > 0
-        assert abs(sampled_rate - exact_rate) / exact_rate <= 0.25
+@functools.lru_cache(maxsize=None)
+def single_outcome(name):
+    """The same point as one :meth:`OoOTimingModel.run`."""
+    trace = benchmark_trace(name, 20_000)
+    return observed(*run_ssmt(trace, SUITE_CONFIG,
+                              predictor=BranchPredictorComplex()))
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SampleSpec(interval=0)
-        with pytest.raises(ValueError):
-            SampleSpec(interval=100, warmup=90, measure=20)
-        with pytest.raises(ValueError):
-            SampleSpec(interval=100, warmup=-1)
-        spec = SampleSpec(interval=1000, warmup=0)
-        assert spec.measure == 100  # interval // 10
 
-    def test_sample_only_on_baseline_and_ssmt(self):
-        spec = SampleSpec(interval=10_000, warmup=100)
-        with pytest.raises(ValueError):
-            SweepTask(kind="oracle", benchmark="gcc", instructions=20_000,
-                      sample=spec)
-        with pytest.raises(ValueError):
-            SweepTask(kind="ssmt", benchmark="gcc", instructions=20_000,
-                      sample={"interval": 10_000})
+class TestSpans:
+    @given(name=st.sampled_from(["gcc", "comp", "mcf_2k"]),
+           cuts=st.integers(1, 400).flatmap(lambda k: st.lists(
+               st.integers(1, 19_999), min_size=k, max_size=k,
+               unique=True)).map(sorted))
+    @settings(max_examples=12, deadline=None)
+    def test_split_run_equals_one_run(self, name, cuts):
+        """The windowed timelines and the pipeline view drive a run as
+        several spans; any consecutive split leaves the timing result
+        and the engine report of a spawning point unchanged."""
+        single = single_outcome(name)
+        assert single[1]["microram_routines"] > 0
+        assert split_outcome(name, cuts) == single

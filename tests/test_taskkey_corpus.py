@@ -4,8 +4,8 @@ Task keys index every on-disk result cache and every served job, and
 result payloads are the cached artifact, so both must stay byte-stable
 across refactors that claim to change no simulation.  This module pins
 literal keys and payload digests for one point of every task shape:
-the four kinds on gcc/2000, a predictor-zoo point, a sampled point and
-a scaled-width point.  The ``suite`` entry covers the mechanism itself:
+the four kinds on gcc/2000, a predictor-zoo point and a scaled-width
+point.  The ``suite`` entry covers the mechanism itself:
 the baseline and SSMT points of all 20 benchmarks at 20,000
 instructions under a fast-training config that spawns microthreads on
 every one of them.  The ``zoo_*`` entries run gcc that way under each
@@ -33,7 +33,6 @@ import pytest
 
 from repro.branch.zoo.config import PredictorConfig
 from repro.core.ssmt import SSMTConfig
-from repro.kernel.sampling import SampleSpec
 from repro.parallel.sweep import build_grid
 from repro.parallel.taskkey import SweepTask
 from repro.parallel.worker import run_task
@@ -86,10 +85,6 @@ CORPUS = {
     "zoo_pas": _zoo_point("pas"),
     "zoo_perceptron": _zoo_point("perceptron"),
     "zoo_h2p": _zoo_point("h2p"),
-    "sampled": lambda: SweepTask(kind="ssmt", benchmark="gcc",
-                                 instructions=2000,
-                                 sample=SampleSpec(interval=1000,
-                                                   warmup=200)),
     "widths": _widths_point,
     "suite": _suite_points,
 }
@@ -105,8 +100,6 @@ PINNED = {
                    "5724533c51d87efefc4b31ca1ae2c672fcfcdd030043bd58bc5fda4b57e64e34"),
         "potential": ("0d05506c392098e2b0984395c9451ed89a7f1438d99784562d323b6e19576e97",
                       "a26b8f00a34132b41a04a4207f3e58cadbe1a367225149fd43718838751dda6f"),
-        "sampled": ("54b49d84249069d5ea234836b216b4167c5a22dfd78fa7a6b01e4de227c1e392",
-                    "9c8dd9688e2fb63058f4020a411cb388304cc422cbd76078a68f9e4c19e0ecbb"),
         "suite": ("b425bfe2ede173f6ca1c3d707e3673e61874f05fe98779a70114816260753eb7",
                   "d7f74d02f48220c976abc99107a29a61ddb52b19e008bf7346bd86b9250fb917"),
         "ssmt": ("86f3287a42761f272fc3da6930b9248eb2f5b8acea06a98130560dd234b71440",
