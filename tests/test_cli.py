@@ -34,7 +34,16 @@ class TestParser:
         ["serve", "--rate", "5"],
         ["serve", "--burst", "5"],
         ["loadtest"],
-    ], ids=["serve-rate", "serve-burst", "loadtest"])
+        ["run", "comp", "--sample-interval", "1000"],
+        ["run", "comp", "--sample-warmup", "200"],
+        ["sweep", "--sample-interval", "1000"],
+        ["sweep", "--sample-warmup", "200"],
+        ["arena", "--sample-interval", "1000"],
+        ["arena", "--sample-warmup", "200"],
+    ], ids=["serve-rate", "serve-burst", "loadtest",
+            "run-sample-interval", "run-sample-warmup",
+            "sweep-sample-interval", "sweep-sample-warmup",
+            "arena-sample-interval", "arena-sample-warmup"])
     def test_removed_options_are_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)

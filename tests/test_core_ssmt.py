@@ -197,7 +197,7 @@ class TestEngineStateTracking:
         engine.memory[0x100] = 7
         assert engine._memory_read(0x100) == 7
 
-    @pytest.mark.parametrize("loop", ["fused", "reference"])
+    @pytest.mark.parametrize("loop", ["fused", "reference", "spans"])
     def test_run_leaves_the_data_segment_untouched(self, loop):
         from repro.perf.reference import ReferenceTimingModel
 
@@ -209,6 +209,14 @@ class TestEngineStateTracking:
                                 initial_memory=trace.initial_memory)
             ReferenceTimingModel().run(trace, BranchPredictorComplex(),
                                        engine)
+        elif loop == "spans":
+            engine = SSMTEngine(fast_config(),
+                                initial_memory=trace.initial_memory)
+            model = OoOTimingModel()
+            state = model.start(trace, BranchPredictorComplex(), engine)
+            n = state.columns.n
+            for lo in range(0, n, 3_000):
+                model.run_span(state, lo, min(lo + 3_000, n))
         else:
             _, engine = run_ssmt(trace, fast_config())
         assert any(r.inst.is_store and before.get(r.ea) != r.result

@@ -198,8 +198,8 @@ def single_outcome(name):
 
 
 class TestSpans:
-    @given(name=st.sampled_from(["gcc", "comp", "mcf_2k"]),
-           cuts=st.integers(1, 400).flatmap(lambda k: st.lists(
+    @pytest.mark.parametrize("name", ["gcc", "comp", "mcf_2k"])
+    @given(cuts=st.integers(1, 400).flatmap(lambda k: st.lists(
                st.integers(1, 19_999), min_size=k, max_size=k,
                unique=True)).map(sorted))
     @settings(max_examples=12, deadline=None)

@@ -68,6 +68,8 @@ def test_normalise_fills_defaults():
     ({"benchmarks": ["comp"], "kernel": "quantum"}, "kernel"),
     ({"benchmarks": ["comp"], "predictor": "crystal-ball"}, "predictor"),
     ({"benchmarks": ["comp"], "sample": {"interval": 1000}}, "sample"),
+    # the canonical spec once carried "sample": None; replaying it fails
+    ({"benchmarks": ["comp"], "sample": None}, "sample"),
 ])
 def test_normalise_rejections(payload, field):
     with pytest.raises(GridSpecError) as excinfo:

@@ -200,6 +200,20 @@ def test_replace_gets_a_fresh_key():
     assert dataclasses.replace(task).key == task.key
 
 
+def test_identity_keeps_the_sample_constant():
+    """Sampled runs are gone, but every cache and pinned key hashes the
+    identity's ``"sample": None``; it must stay a literal."""
+    for name in sorted(CORPUS):
+        for task in _tasks(name):
+            assert task.identity()["sample"] is None
+
+
+def test_task_takes_no_sample():
+    with pytest.raises(TypeError):
+        SweepTask(kind="ssmt", benchmark="gcc", instructions=2000,
+                  sample=None)
+
+
 def test_equality_and_hash_follow_the_fields():
     """Tasks compare and hash by their fields alone.  The label is left
     out of the key but not out of equality."""
