@@ -14,12 +14,10 @@ import sys
 
 from repro.analysis import format_table
 from repro.analysis.experiments import baseline_run
-from repro.core.ssmt import SSMTConfig, run_ssmt
-from repro.core.static import (
-    prebuild_microthreads,
-    profile_difficult_paths,
-    run_profile_guided,
-)
+from repro.branch.unit import BranchPredictorComplex
+from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
+from repro.core.static import prebuild_microthreads, profile_difficult_paths
+from repro.kernel import OoOTimingModel
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace
 
 
@@ -47,7 +45,8 @@ def main():
 
     base = baseline_run(trace)
     dynamic, _ = run_ssmt(trace, config)
-    static, engine = run_profile_guided(trace, config)
+    engine = SSMTEngine(config, trace.initial_memory, image=threads)
+    static = OoOTimingModel().run(trace, BranchPredictorComplex(), engine)
 
     print()
     print(format_table(

@@ -14,11 +14,7 @@ import sys
 
 from repro.analysis.timeline import sparkline, speedup_timeline
 from repro.core.ssmt import SSMTConfig, SSMTEngine
-from repro.core.static import (
-    StaticSSMTEngine,
-    prebuild_microthreads,
-    profile_difficult_paths,
-)
+from repro.core.static import prebuild_microthreads, profile_difficult_paths
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace
 
 
@@ -46,7 +42,7 @@ def main():
     threads = prebuild_microthreads(trace, paths, config)
     static = speedup_timeline(
         trace,
-        lambda: StaticSSMTEngine(threads, config, trace.initial_memory),
+        lambda: SSMTEngine(config, trace.initial_memory, image=threads),
         window)
     values = [s for _, s in static]
     print(f"profile-guided {sparkline(values, lo=0.95)}  "

@@ -23,7 +23,10 @@ Subsystem map (paper section in parentheses):
 * :mod:`repro.core.ssmt` — the full SSMT engine wired into the timing
   model, plus configuration (§4, §5).
 * :mod:`repro.core.oracle` — the perfect difficult-path predictor used
-  for the potential study (Figure 6).
+  for the potential study (Figure 6), an engine variant chosen by
+  passing a :class:`PotentialConfig`.
+* :mod:`repro.core.static` — the profile-guided (compile-time) variant:
+  offline profiling and prebuilding of a fixed MicroRAM image.
 """
 
 from repro.core.path import (
@@ -40,10 +43,9 @@ from repro.core.microram import MicroRAM
 from repro.core.prediction_cache import PredictionCache
 from repro.core.spawn import SpawnManager, SpawnStats
 from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
-from repro.core.oracle import PotentialConfig, PotentialEngine, run_potential
+from repro.core.oracle import PotentialConfig, run_potential
 from repro.core.static import (
     ProfiledPath,
-    StaticSSMTEngine,
     prebuild_microthreads,
     profile_difficult_paths,
     run_profile_guided,
@@ -73,10 +75,8 @@ __all__ = [
     "SSMTEngine",
     "run_ssmt",
     "PotentialConfig",
-    "PotentialEngine",
     "run_potential",
     "ProfiledPath",
-    "StaticSSMTEngine",
     "prebuild_microthreads",
     "profile_difficult_paths",
     "run_profile_guided",

@@ -20,12 +20,20 @@ the paper describes:
 configuration (Figure 7's third bar): microthreads spawn, execute and
 consume resources (including their cache-warming side-effects) but their
 predictions are never consumed.
+
+Two variants are data the constructor reads.  Given a
+:class:`~repro.core.oracle.PotentialConfig` (Figure 6), promotions go to
+a bounded LRU set of paths predicted perfectly and early, and nothing is
+built, spawned or trained for microthreads.  Given a prebuilt ``image``
+(:mod:`repro.core.static`), the MicroRAM holds it unchanged: the Path
+Cache never trains and a violated routine is dropped, not rebuilt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    Optional, Set, Tuple)
 
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.builder import BuilderConfig, MicrothreadBuilder
@@ -51,6 +59,7 @@ from repro.uarch.timing import PredictionEntry, TimingResult
 from repro.valuepred import AddressPredictor, PredictorTrainer, StridePredictor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.core.oracle import PotentialConfig
     from repro.kernel.batched import OoOTimingModel
     from repro.telemetry.session import TelemetrySession
     from repro.verify.sanitizer import SimSanitizer
@@ -154,7 +163,13 @@ class SSMTEngine:
                  event_log: Optional[EventLog] = None,
                  verifier: Optional["BuildVerifier"] = None,
                  sanitizer: Optional["SimSanitizer"] = None,
-                 telemetry: Optional["TelemetrySession"] = None):
+                 telemetry: Optional["TelemetrySession"] = None,
+                 *, potential: Optional["PotentialConfig"] = None,
+                 image: Optional[Iterable[Microthread]] = None):
+        if potential is not None:
+            if config is not None or image is not None:
+                raise ValueError("the oracle takes no SSMTConfig or image")
+            config = potential.ssmt_config()
         self.config = config or SSMTConfig()
         self.event_log = event_log
         #: optional static verifier, run over every successfully built
@@ -212,6 +227,25 @@ class SSMTEngine:
         #: ``TelemetrySession.control_hook``)
         self._telemetry_control = (telemetry.control_hook
                                    if telemetry is not None else None)
+        #: the potential study's promoted paths, least recently promoted
+        #: or predicted first; ``None`` when microthreads predict
+        self.oracle_paths: Optional[Dict[PathKey, None]] = (
+            None if potential is None else {})
+        self.oracle_capacity = potential.promoted_capacity if potential else 0
+        self.oracle_predictions = 0
+        #: whether retire trains the value predictors and fills the PRB;
+        #: the oracle builds nothing that would read them
+        self.trains = potential is None
+        #: the MicroRAM holds a prebuilt image that never changes
+        self.fixed_image = image is not None
+        #: takes each retired complete path instead of the Path Cache:
+        #: nothing over a fixed image, or an offline pass's tally in
+        #: :mod:`repro.core.static` (never a bound method of the engine,
+        #: which would make a reference cycle)
+        self.path_sink: Optional[Callable[[PathEvent, bool, int], None]] = (
+            _untrained if self.fixed_image else None)
+        for thread in image or ():
+            self.microram.insert(thread)
         if telemetry is not None:
             telemetry.attach(self)
 
@@ -253,6 +287,16 @@ class SSMTEngine:
 
     def lookup_prediction(self, idx: int, rec: DynamicInstruction,
                           fetch_cycle: int) -> Optional[PredictionEntry]:
+        oracle = self.oracle_paths
+        if oracle is not None:
+            key = PathKey(rec.pc, self.tracker.current_branches())
+            if key not in oracle:
+                return None
+            self.oracle_predictions += 1
+            del oracle[key]  # reinsert as the most recently used
+            oracle[key] = None
+            # Perfect and early: arrival before fetch.
+            return PredictionEntry(rec.taken, rec.next_pc, arrival_cycle=0)
         if not self.config.use_predictions:
             return None
         if self.config.classify_by_branch:
@@ -311,9 +355,7 @@ class SSMTEngine:
 
     # -- retire-loop rare paths ----------------------------------------------
     # The fused loop in :mod:`repro.kernel.batched` inlines the common
-    # retire work and dispatches its conditional blocks here, so engine
-    # variants such as :mod:`repro.core.static` override these rather
-    # than the loop.
+    # retire work and dispatches its conditional blocks here.
 
     def _retire_store_violation(self, idx: int, rec: DynamicInstruction,
                                 retire_cycle: int) -> None:
@@ -330,7 +372,10 @@ class SSMTEngine:
             if log is not None:
                 log.emit("violation", idx, retire_cycle,
                          violated.thread.term_pc, f"ea={rec.ea}")
-            if count >= self.config.rebuild_violation_threshold:
+            if self.fixed_image:
+                # No builder to rebuild it: the routine is dropped.
+                self._demote(key, self._key_id(key))
+            elif count >= self.config.rebuild_violation_threshold:
                 self._violation_counts[key] = 0
                 self._schedule_rebuild(violated.thread)
             else:
@@ -346,8 +391,13 @@ class SSMTEngine:
                 # Store_PCache had not completed: the write never lands.
                 self.prediction_cache.invalidate_writer(aborted)
 
-    def _retire_path_event(self, event: PathEvent, mispredicted: bool,
-                           retire_cycle: int) -> None:
+    @property
+    def on_path_event(self) -> Callable[[PathEvent, bool, int], None]:
+        """What the loop calls at each retired complete path."""
+        return self.path_sink or self._train_path_cache
+
+    def _train_path_cache(self, event: PathEvent, mispredicted: bool,
+                          retire_cycle: int) -> None:
         """A complete path event retired: train the Path Cache and apply
         any promotion/demotion decision (paper §4.1, §4.2.1)."""
         classify_key, classify_id = self._classification_identity(
@@ -404,6 +454,15 @@ class SSMTEngine:
             event.key, event.path_id)
         if classify_key in self._throttled:
             return  # usefulness feedback barred this path
+        oracle = self.oracle_paths
+        if oracle is not None:
+            if len(oracle) >= self.oracle_capacity:
+                victim = next(iter(oracle))
+                self._demote(victim, self._key_id(victim))
+            oracle.pop(classify_key, None)
+            oracle[classify_key] = None
+            self.path_cache.mark_promoted(classify_key, classify_id, True)
+            return
         if self.telemetry is not None:
             self.telemetry.on_promote(event, now_cycle)
         thread = self.builder.request(event, self.prb, now_cycle)
@@ -443,6 +502,8 @@ class SSMTEngine:
             self.sanitizer.note_promote(classify_key)
 
     def _demote(self, key: PathKey, path_id: int) -> None:
+        if self.oracle_paths is not None:
+            self.oracle_paths.pop(key, None)
         self.microram.remove(key)
         self.path_cache.mark_promoted(key, path_id, False)
         if self.sanitizer is not None:
@@ -532,6 +593,24 @@ class SSMTEngine:
         }
 
 
+def _untrained(event: PathEvent, mispredicted: bool,
+               retire_cycle: int) -> None:
+    """A fixed image's path event: the Path Cache never trains."""
+
+
+def run_engine(trace: Trace, engine: SSMTEngine,
+               machine: MachineConfig = TABLE3_BASELINE,
+               predictor: Optional[BranchPredictorComplex] = None,
+               ) -> TimingResult:
+    """Time ``trace`` with ``engine`` on the fused retire loop of
+    :class:`~repro.kernel.batched.OoOTimingModel`, whose import is
+    deferred because :mod:`repro.kernel` imports this module."""
+    from repro.kernel.batched import OoOTimingModel
+
+    predictor = predictor if predictor is not None else BranchPredictorComplex()
+    return OoOTimingModel(machine).run(trace, predictor, engine)
+
+
 def run_ssmt(
     trace: Trace,
     config: Optional[SSMTConfig] = None,
@@ -542,19 +621,9 @@ def run_ssmt(
     telemetry: Optional["TelemetrySession"] = None,
     event_log: Optional[EventLog] = None,
 ) -> Tuple[TimingResult, SSMTEngine]:
-    """Run the full SSMT machine over ``trace``; returns timing + engine.
-
-    The run goes through the fused retire loop of
-    :class:`~repro.kernel.batched.OoOTimingModel`, whose import is
-    deferred because :mod:`repro.kernel` imports this module.
-    """
+    """Run the full SSMT machine over ``trace``; returns timing + engine."""
     engine = SSMTEngine(config, initial_memory=trace.initial_memory,
                         event_log=event_log,
                         verifier=verifier, sanitizer=sanitizer,
                         telemetry=telemetry)
-    predictor = predictor if predictor is not None else BranchPredictorComplex()
-    from repro.kernel.batched import OoOTimingModel
-
-    model = OoOTimingModel(machine)
-    result = model.run(trace, predictor, engine)
-    return result, engine
+    return run_engine(trace, engine, machine, predictor), engine

@@ -5,12 +5,11 @@ loop, :meth:`OoOTimingModel.run_span`.  It reads the predecoded columns
 of :mod:`repro.kernel.columns` instead of ``rec.inst`` attributes and
 inlines the engine's retire work (predictor training, PRB insertion,
 path tracking), so no instruction pays for a hook call; the rare blocks
-call the engine's ``_retire_*`` helpers.  Engine variants override
-engine methods, never the loop: :class:`~repro.core.static.
-StaticSSMTEngine` overrides two ``_retire_*`` helpers, and the loop
-skips training and PRB insertion for the oracle
-:class:`~repro.core.oracle.PotentialEngine`, which builds no
-microthreads.
+call the engine's ``_retire_*`` helpers and ``on_path_event``.  There is
+one engine class: its variants (the Figure-6 oracle, a prebuilt image)
+are data it reads at construction, and the loop reads them as
+attributes bound once per span — ``engine.trains`` says whether retire
+trains the value predictors and fills the PRB.
 
 :meth:`OoOTimingModel.start` opens a run whose :class:`_RunState`
 ``run_span`` advances over any consecutive ranges: ``run`` is one span,
@@ -27,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.branch.unit import BranchOutcome, BranchPredictorComplex
-from repro.core.oracle import PotentialEngine
 from repro.core.prb import PRBEntry
 from repro.core.ssmt import SSMTEngine
 from repro.isa.instructions import Opcode
@@ -204,9 +202,7 @@ class OoOTimingModel:
             engine_on_fetch = engine.on_fetch
             lookup_prediction = engine.lookup_prediction
             on_outcome = engine.on_prediction_outcome
-            # The oracle builds no microthreads: nothing reads the
-            # predictor confidences or the PRB it would fill.
-            trains = not isinstance(engine, PotentialEngine)
+            trains = engine.trains
             trainer = engine.trainer
             # Stride-predictor tables, unpacked for the inlined
             # train/is_confident bodies below.
@@ -245,7 +241,7 @@ class OoOTimingModel:
             spawner_retire_past = spawner.retire_past
             retire_store_violation = engine._retire_store_violation
             retire_taken_control = engine._retire_taken_control
-            retire_path_event = engine._retire_path_event
+            retire_path_event = engine.on_path_event
             reg_values = engine.reg_values
             memory = engine.memory
             quiet = engine._quiet

@@ -276,7 +276,7 @@ def _engine_hooks(self: SSMTEngine):
             # (warm-up) events, so the stash cannot accumulate entries.
             mispredicted = self._pending_mispredict.pop(idx, False)
             if not event.partial:
-                self._retire_path_event(event, mispredicted, retire_cycle)
+                self.on_path_event(event, mispredicted, retire_cycle)
 
         _spawner_retire_past(idx, retire_cycle)
 

@@ -22,10 +22,12 @@ methods the loop calls:
 ``on_prediction_outcome(idx, rec, kind, used, correct, hw_mispredict)``
     classification feedback: ``kind`` is ``early``, ``late_useful``,
     ``late_harmful``, ``late_agree`` or ``useless``.
-``_retire_store_violation`` / ``_retire_taken_control`` / ``_retire_path_event``
-    at retirement of a store or taken control with live microthreads,
-    and of a complete path (Path Cache training, promotion); predictor
-    training, PRB insertion and path tracking are inlined in the loop.
+``_retire_store_violation`` / ``_retire_taken_control``
+    at retirement of a store or taken control with live microthreads.
+``on_path_event(event, mispredicted, retire_cycle)``
+    at retirement of a complete path (Path Cache training, promotion);
+    predictor training, PRB insertion and path tracking are inlined in
+    the loop, which skips the first two when ``engine.trains`` is false.
 
 The in-progress result is readable at ``OoOTimingModel.result`` during
 a run, and microthread instructions claim the primary thread's issue

@@ -65,7 +65,7 @@ def potential(trace):
     result, engine = run_potential(trace, POTENTIAL)
     return {"timing": result.as_dict(),
             "oracle_predictions": engine.oracle_predictions,
-            "promoted": engine.promoted_count,
+            "promoted": len(engine.oracle_paths),
             "path_cache": engine.path_cache.stats.as_dict()}
 
 

@@ -1,9 +1,13 @@
 """Tests for the Figure 6 potential engine (oracle difficult paths)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.branch.unit import BranchPredictorComplex
 from repro.core.oracle import PotentialConfig, run_potential
+from repro.core.path import PathEvent, PathKey
+from repro.core.ssmt import SSMTConfig, SSMTEngine
 from repro.isa.assembler import assemble
 from repro.sim.functional import run_program
 from repro.kernel import OoOTimingModel
@@ -44,7 +48,7 @@ def fast_potential(**overrides):
 class TestPotentialEngine:
     def test_promotes_difficult_paths(self, hard_trace):
         _, engine = run_potential(hard_trace, fast_potential())
-        assert engine.promoted_count > 0
+        assert len(engine.oracle_paths) > 0
         assert engine.oracle_predictions > 0
 
     def test_faster_than_baseline(self, hard_trace):
@@ -62,10 +66,16 @@ class TestPotentialEngine:
         result, _ = run_potential(hard_trace, fast_potential())
         assert result.effective_mispredicts < base.effective_mispredicts
 
+    def test_oracle_takes_no_ssmt_config_or_image(self):
+        with pytest.raises(ValueError):
+            SSMTEngine(SSMTConfig(), potential=fast_potential())
+        with pytest.raises(ValueError):
+            SSMTEngine(potential=fast_potential(), image=())
+
     def test_promoted_capacity_respected(self, hard_trace):
         _, engine = run_potential(hard_trace,
                                   fast_potential(promoted_capacity=2))
-        assert engine.promoted_count <= 2
+        assert len(engine.oracle_paths) <= 2
 
     def test_high_threshold_promotes_nothing_easy(self):
         """With T=0.99 no path qualifies, so no oracle predictions."""
@@ -80,3 +90,30 @@ class TestPotentialEngine:
         _, engine = run_potential(
             trace, fast_potential(difficulty_threshold=0.99))
         assert engine.oracle_predictions == 0
+
+
+class TestPromotedLRU:
+    def test_capacity_two_evicts_least_recently_predicted(self):
+        """With room for two paths, promoting a third evicts the path
+        whose last promotion or oracle prediction is the oldest."""
+        trace = run_program(assemble("li r1, 1\nhalt"))
+        _, engine = run_potential(trace, fast_potential(promoted_capacity=2))
+        branches = engine.tracker.current_branches()
+
+        def promote(pc):
+            key = PathKey(pc, branches)
+            engine._promote(PathEvent(key, key.path_id(), 0, 0, False), 0)
+
+        def predicted(pc):
+            rec = SimpleNamespace(pc=pc, taken=True, next_pc=pc + 1)
+            return engine.lookup_prediction(0, rec, 0) is not None
+
+        promote(100)
+        promote(200)
+        assert predicted(100)   # 100 is now more recent than 200
+        promote(300)
+        assert [predicted(pc) for pc in (100, 200, 300)] == [True, False,
+                                                             True]
+        promote(400)            # 100 was touched before 300
+        assert [predicted(pc) for pc in (100, 300, 400)] == [False, True,
+                                                             True]

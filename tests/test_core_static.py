@@ -1,17 +1,24 @@
 """Tests for the profile-guided (compile-time) variant and the dynamic
 engine's extension knobs (throttling, repeated-violation rebuilds)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.experiments import baseline_run
-from repro.core.ssmt import SSMTConfig, run_ssmt
+from repro.branch.unit import BranchPredictorComplex
+from repro.core.ssmt import SSMTConfig, SSMTEngine, run_ssmt
 from repro.core.static import (
     prebuild_microthreads,
     profile_difficult_paths,
     run_profile_guided,
 )
 from repro.isa.assembler import assemble
+from repro.kernel import OoOTimingModel
 from repro.sim.functional import run_program
+from repro.workloads import benchmark_trace
+
+from .test_core_ssmt import STORE_INTERFERENCE as SSMT_STORE_INTERFERENCE
 
 DATA_LOOP = """
 .data arr 64 57 3 91 22 68 14 77 41 5 99 33 60 12 84 29 50 73 8 66 95 17 38 55 81 26 62 44 70 11 88 35 58 2 92 20 65 16 79 40 6 97 31 59 13 86 28 52 74 9 67 94 18 39 56 80 27 63 45 71 10 89 36 53 24
@@ -99,6 +106,21 @@ class TestPrebuild:
         threads = prebuild_microthreads(data_trace, paths, small_config())
         assert all(t.available_cycle == 0 for t in threads)
 
+    def test_image_prunes_at_the_configured_threshold(self):
+        """The image is built on value predictors trained at the
+        config's ``confidence_threshold``, so a lower threshold prunes
+        more of each routine into predictor queries."""
+        trace = benchmark_trace("gcc", 20_000)
+        paths = profile_difficult_paths(trace, n=4)
+
+        def pruned(threshold):
+            threads = prebuild_microthreads(
+                trace, paths, small_config(confidence_threshold=threshold))
+            return sum(node.kind in ("vp", "ap")
+                       for t in threads for node in t.nodes)
+
+        assert pruned(1) > pruned(4)
+
 
 class TestStaticEngine:
     def test_profile_guided_beats_baseline(self, data_trace):
@@ -126,6 +148,27 @@ class TestStaticEngine:
         # stores interfere -> some routine was dropped at least once, or
         # the profile avoided those paths entirely; either way it runs.
         assert result.instructions == len(trace)
+
+    def test_violated_image_routine_dropped_not_rebuilt(self):
+        """A violated routine leaves a fixed image for good: there is no
+        builder to rebuild it and no Path Cache to re-promote it."""
+        trace = run_program(assemble(SSMT_STORE_INTERFERENCE),
+                            max_instructions=50_000)
+        built = {}
+        collect = SimpleNamespace(
+            verify_built=lambda thread, prb: built.setdefault(thread.key,
+                                                              thread))
+        run_ssmt(trace, small_config(), verifier=collect)
+        for thread in built.values():
+            thread.available_cycle = 0
+        engine = SSMTEngine(small_config(), trace.initial_memory,
+                            image=built.values())
+        OoOTimingModel().run(trace, BranchPredictorComplex(), engine)
+        violations = engine.spawner.stats.memdep_violations
+        assert violations > 0
+        assert len(engine.microram) == len(built) - violations
+        assert engine.builder.stats.rebuilds == 0
+        assert engine.path_cache.stats.updates == 0
 
     def test_outcome_stash_stays_bounded(self, data_trace):
         """The static engine consumes on_control stashes even though it

@@ -29,3 +29,11 @@ def test_rampup(monkeypatch, capsys):
                         "(10000-instruction windows)")
     assert any(line.startswith("dynamic ") for line in lines)
     assert any(line.startswith("profile-guided ") for line in lines)
+
+
+def test_profile_guided(monkeypatch, capsys):
+    out = run_example(monkeypatch, capsys, "profile_guided.py", "comp",
+                      "30000")
+    assert out.startswith("profiling comp (30000 instructions)...")
+    assert "microthreads pre-built" in out
+    assert "profile-guided SSMT" in out
